@@ -89,6 +89,20 @@ def _load_matrix_input(path):
     return pearson_correlation(data), data.shape[0]
 
 
+def _load_structure(path):
+    """A structure document ``{p, d, support}``, or the loading support of a
+    model document ``{lambda, phi, omega}`` such as ``simulate`` writes."""
+    doc = load_json(path)
+    if isinstance(doc, dict) and "lambda" in doc:
+        return FactorParams.from_json_dict(doc).structure()
+    if isinstance(doc, dict) and "support" in doc:
+        return Structure.from_json_dict(doc)
+    raise DomainError(
+        f"{path}: expected a structure document (keys p, d, support) "
+        "or a model document (keys lambda, phi, omega)"
+    )
+
+
 def _emit(doc, out_path):
     if out_path:
         save_json(out_path, doc)
@@ -105,7 +119,7 @@ def cmd_fit(args):
     )
     truth = None
     if args.truth:
-        truth = Structure.from_json_dict(load_json(args.truth))
+        truth = _load_structure(args.truth)
     selection = {"bic": "bic", "min-hd": "min-hd-oracle", "none": "none"}[args.select]
     config = CtConfig(
         thresholds=tuple(taus), selection=selection, truth=truth, seed=args.seed
@@ -223,8 +237,8 @@ def cmd_check(args):
 
 
 def cmd_evaluate(args):
-    est = Structure.from_json_dict(load_json(args.estimate))
-    truth = Structure.from_json_dict(load_json(args.truth))
+    est = _load_structure(args.estimate)
+    truth = _load_structure(args.truth)
     report = hamming_distance(est, truth)
     _emit(report.to_json_dict(), args.out)
     return 0
@@ -428,7 +442,7 @@ def build_parser():
     p_fit.add_argument("input", help="data CSV or correlation JSON")
     p_fit.add_argument("--thresholds", help="comma-separated taus (default: 40-point grid)")
     p_fit.add_argument("--select", choices=["bic", "min-hd", "none"], default="bic")
-    p_fit.add_argument("--truth", help="structure JSON for min-hd selection")
+    p_fit.add_argument("--truth", help="structure or model JSON for min-hd selection")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", help="output path (default: stdout)")
     p_fit.set_defaults(func=cmd_fit)
@@ -467,8 +481,8 @@ def build_parser():
     p_chk.set_defaults(func=cmd_check)
 
     p_eval = sub.add_parser("evaluate", help="score an estimated structure")
-    p_eval.add_argument("estimate", help="estimated structure JSON")
-    p_eval.add_argument("truth", help="true structure JSON")
+    p_eval.add_argument("estimate", help="estimated structure or model JSON")
+    p_eval.add_argument("truth", help="true structure or model JSON")
     p_eval.add_argument("--out", help="output path (default: stdout)")
     p_eval.set_defaults(func=cmd_evaluate)
 

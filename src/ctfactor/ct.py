@@ -6,16 +6,25 @@ membership is the loading support), duplicate structures across thresholds
 are merged, and, under likelihood selection, each distinct structure is
 fitted so the lowest BIC wins. Selection can also defer to an oracle
 structure (smallest Hamming distance) or be skipped.
+
+BIC selection fits candidates in ascending free-parameter count ``k`` and
+skips (prunes) any whose BIC could not reach the best one so far even at
+the saturated log-likelihood ``l_sat``, the ceiling of every fit: a
+candidate is pruned when ``-2 l_sat + k log n`` exceeds the best BIC
+strictly, so the selection equals that of fitting every candidate. The
+ceiling exists only for a positive definite sample matrix with ``n > p``;
+otherwise every candidate is fitted.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingTruth, NonPDSampleWarning
-from .estimate import FitOptions, fit_mle
+from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
+from .estimate import FitOptions, count_free_params, fit_mle, saturated_loglik
 from .graph import build_graph, independent_maximal_cliques, structure_from_cliques
 from .metrics import hamming_distance
 
@@ -33,10 +42,10 @@ def default_thresholds():
 class CtConfig:
     """Sweep settings.
 
-    ``selection`` is one of ``"bic"`` (fit every candidate, lowest BIC
-    wins), ``"min-hd-oracle"`` (closest support to ``truth`` wins, no
-    fitting), or ``"none"`` (candidates only). ``seed`` feeds the fit
-    restarts.
+    ``selection`` is one of ``"bic"`` (lowest BIC wins; candidates that
+    cannot win are pruned unfitted), ``"min-hd-oracle"`` (closest support
+    to ``truth`` wins, no fitting), or ``"none"`` (candidates only).
+    ``seed`` feeds the fit restarts.
     """
 
     thresholds: tuple = field(default_factory=lambda: tuple(default_thresholds()))
@@ -63,7 +72,11 @@ class CtConfig:
 
 @dataclass
 class CtCandidate:
-    """One distinct structure found by the sweep."""
+    """One distinct structure found by the sweep.
+
+    ``pruned`` marks a candidate that BIC selection skipped unfitted
+    because its BIC bound already exceeded the best fitted BIC.
+    """
 
     structure: object
     tau_values: tuple
@@ -73,6 +86,7 @@ class CtCandidate:
     loglik: float = None
     hd: int = None
     error: str = None
+    pruned: bool = False
 
     def to_json_dict(self):
         fitdoc = None
@@ -90,12 +104,17 @@ class CtCandidate:
             "hd": self.hd,
             "fit": fitdoc,
             "error": self.error,
+            "pruned": self.pruned,
         }
 
 
 @dataclass
 class CtResult:
-    """Sweep outcome: deduplicated candidates plus the selection."""
+    """Sweep outcome: deduplicated candidates plus the selection.
+
+    ``models_evaluated`` counts the distinct candidates and
+    ``models_fitted`` the ones handed to the fitter.
+    """
 
     candidates: list
     selected_index: int
@@ -103,6 +122,7 @@ class CtResult:
     skipped_taus: tuple
     timings_s: dict
     selection: str
+    models_fitted: int = 0
 
     @property
     def selected(self):
@@ -110,12 +130,25 @@ class CtResult:
             return None
         return self.candidates[self.selected_index]
 
+    @property
+    def selected_converged(self):
+        """Whether the selected candidate's fit converged (None: no fitted selection).
+
+        False flags a BIC winner whose fit stopped at the iteration cap.
+        """
+        selected = self.selected
+        if selected is None or selected.fit is None:
+            return None
+        return selected.fit.converged
+
     def to_json_dict(self):
         return {
             "selection": self.selection,
             "candidates": [c.to_json_dict() for c in self.candidates],
             "selected_index": self.selected_index,
+            "selected_converged": self.selected_converged,
             "models_evaluated": self.models_evaluated,
+            "models_fitted": self.models_fitted,
             "skipped_taus": list(self.skipped_taus),
             "timings_s": {k: float(v) for k, v in self.timings_s.items()},
         }
@@ -208,8 +241,22 @@ def ct_run(corr, n, config=None):
     sweep_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    models_fitted = 0
     if config.selection == "bic":
-        for k, cand in enumerate(candidates):
+        bic_floor = None  # -2 l_sat: no candidate's BIC can fall below floor + k log n
+        if n > p:
+            try:
+                bic_floor = -2.0 * saturated_loglik(corr, n)
+            except NotPositiveDefinite:
+                pass
+        params = [count_free_params(c.structure) for c in candidates]
+        best = math.inf
+        for k in sorted(range(len(candidates)), key=lambda k: (params[k], k)):
+            cand = candidates[k]
+            if bic_floor is not None and bic_floor + params[k] * math.log(n) > best:
+                cand.pruned = True
+                continue
+            models_fitted += 1
             try:
                 fit = fit_mle(
                     corr,
@@ -224,6 +271,7 @@ def ct_run(corr, n, config=None):
             cand.fit = fit
             cand.bic = fit.bic
             cand.loglik = fit.loglik
+            best = min(best, fit.bic)
     fit_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -246,4 +294,5 @@ def ct_run(corr, n, config=None):
         skipped_taus=tuple(skipped),
         timings_s={"sweep": sweep_s, "fit": fit_s, "select": select_s},
         selection=config.selection,
+        models_fitted=models_fitted,
     )

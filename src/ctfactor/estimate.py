@@ -14,7 +14,8 @@ expectation-maximization over the latent factors:
 
 Each M-step maximizes the complete-data objective exactly, so the
 log-likelihood is non-decreasing along the path up to round-off. Multiple
-restarts jitter the starting loadings; the best final likelihood wins.
+restarts jitter the starting loadings and ascend together as one batch
+along a leading restart axis; the best final likelihood wins.
 Column signs are normalized afterwards so that each factor's anchor
 variable (its smallest-index unique child, falling back to the
 smallest-index child) loads non-negatively.
@@ -25,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import (
     ConstantColumn,
@@ -35,12 +36,13 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import FactorParams, unique_children
-from .numerics import RngState, as_sym_matrix, cholesky
+from .numerics import RngState, as_sym_matrix, cholesky, logdet_pd
 
 __all__ = [
     "FitOptions",
     "FitResult",
     "gaussian_loglik",
+    "saturated_loglik",
     "fit_mle",
     "count_free_params",
     "bic_value",
@@ -124,6 +126,25 @@ def gaussian_loglik(sigma_model, s_sample, n):
     return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet + trace)
 
 
+def saturated_loglik(s_sample, n):
+    """Gaussian log-likelihood at ``sigma = s_sample``: the ceiling of every fit.
+
+    ``-(n / 2) * (p * log(2 pi) + logdet(s) + p)``. Over positive definite
+    models the likelihood peaks at the sample matrix itself, so no fit of
+    any structure can exceed this value.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the sample matrix is not positive definite (no ceiling exists).
+    """
+    if n <= 0:
+        raise DomainError(f"n must be positive, got {n}")
+    s = as_sym_matrix(s_sample, name="s_sample")
+    p = s.shape[0]
+    return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet_pd(s) + p)
+
+
 def count_free_params(structure):
     """Free parameters: support size + factor correlations + error variances."""
     d = structure.d
@@ -178,52 +199,99 @@ def _canonicalize_signs(lam, phi, structure):
     return lam, phi
 
 
-def _em_ascent(s, n, structure, classes, lam0, options):
+def _per_restart(fn, *stacks):
+    """``fn`` over arrays stacked along a leading restart axis.
+
+    numpy's stacked linear algebra raises for the whole stack when one
+    matrix fails; the stack is then redone one restart at a time and a
+    failing restart's slot comes back NaN, so its log-likelihood turns
+    non-finite and the ascent drops it alone.
+    """
+    try:
+        return fn(*stacks)
+    except np.linalg.LinAlgError:
+        out = []
+        for parts in zip(*stacks):
+            try:
+                out.append(fn(*parts))
+            except np.linalg.LinAlgError:
+                out.append(np.full_like(parts[-1], np.nan))
+        return np.stack(out)
+
+
+def _em_ascent(s, n, classes, lam0, options):
+    """EM from every starting loading matrix in ``lam0`` (restarts x p x d) at once.
+
+    Returns one entry per restart: ``(lam, phi, omega, path, converged,
+    updates)``, or ``None`` for a restart that broke down numerically (a
+    failed factorization or a non-finite log-likelihood). Each restart
+    stops at its own tolerance or at the iteration cap and then leaves the
+    batch, so its path is the one it would follow alone.
+    """
     # Sigma = lam phi lam' + diag(omega) is never assembled: with
     # D = diag(1/omega) and M = phi^-1 + lam' D lam, the determinant lemma
     # gives logdet Sigma = logdet M + logdet phi + sum log omega, and
     # Woodbury gives Sigma^-1 lam = D lam (I - M^-1 lam' D lam). The one
     # p x p product per iteration is s @ (D lam).
-    p, d = structure.p, structure.d
+    n_starts, p, d = lam0.shape
     s_diag = np.diag(s).copy()
     eye_d = np.eye(d)
+    diag = np.arange(d)
+    # flat gather/scatter indices of each row class in the p*d and d*d layouts
+    flat = [
+        (rows, rows[:, None] * d + pidx, pidx[:, :, None] * d + pidx[:, None, :])
+        for rows, pidx in classes
+    ]
     lam = lam0.copy()
-    phi = eye_d.copy()
-    omega = np.maximum(0.5 * s_diag, options.omega_floor)
-    path = []
+    phi = np.tile(eye_d, (n_starts, 1, 1))
+    omega = np.tile(np.maximum(0.5 * s_diag, options.omega_floor), (n_starts, 1))
+    live = np.arange(n_starts)
+    paths = [[] for _ in range(n_starts)]
+    outcomes = [None] * n_starts
     ll_prev = None
-    converged = False
     updates = 0
     log2pi = math.log(2.0 * math.pi)
     while True:
         dinv = 1.0 / omega
-        lam_d = lam * dinv[:, None]
-        ltd_lam = lam.T @ lam_d
-        try:
-            phi_low = np.linalg.cholesky(phi)
-            phi_inv = cho_solve((phi_low, True), eye_d, check_finite=False)
-            m_low = np.linalg.cholesky(phi_inv + ltd_lam)
-        except np.linalg.LinAlgError:
-            return None  # numerically broken restart
-        m_inv = cho_solve((m_low, True), eye_d, check_finite=False)
+        lam_d = lam * dinv[:, :, None]
+        ltd_lam = lam.transpose(0, 2, 1) @ lam_d
+        phi_low = _per_restart(np.linalg.cholesky, phi)
+        phi_inv = _per_restart(np.linalg.inv, phi)
+        m_mat = phi_inv + ltd_lam
+        m_low = _per_restart(np.linalg.cholesky, m_mat)
+        m_inv = _per_restart(np.linalg.inv, m_mat)
         logdet = (
-            2.0 * float(np.log(m_low.diagonal()).sum())
-            + 2.0 * float(np.log(phi_low.diagonal()).sum())
-            + float(np.log(omega).sum())
+            2.0 * np.log(m_low.diagonal(axis1=1, axis2=2)).sum(axis=1)
+            + 2.0 * np.log(phi_low.diagonal(axis1=1, axis2=2)).sum(axis=1)
+            + np.log(omega).sum(axis=1)
         )
         sld = s @ lam_d
-        tmat = lam_d.T @ sld
+        tmat = lam_d.transpose(0, 2, 1) @ sld
         # trace(sigma^-1 s) via Woodbury; m_inv and tmat are symmetric
-        trace = float(dinv @ s_diag) - float((m_inv * tmat).sum())
+        trace = dinv @ s_diag - (m_inv * tmat).sum(axis=(1, 2))
         ll = -0.5 * n * (p * log2pi + logdet + trace)
-        if not math.isfinite(ll):
-            return None
-        path.append(ll)
-        if ll_prev is not None and abs(ll - ll_prev) < options.loglik_tolerance:
-            converged = True
-            break
-        if updates >= options.max_iterations:
-            break
+
+        finite = np.isfinite(ll)
+        if ll_prev is None:
+            converged = np.zeros(live.size, dtype=bool)
+        else:
+            converged = np.abs(ll - ll_prev) < options.loglik_tolerance
+        capped = updates >= options.max_iterations
+        for slot, r in enumerate(live):
+            if not finite[slot]:
+                continue  # numerically broken restart: dropped, outcome stays None
+            paths[r].append(float(ll[slot]))
+            if converged[slot] or capped:
+                outcomes[r] = (
+                    lam[slot], phi[slot], omega[slot], paths[r], bool(converged[slot]), updates
+                )
+        keep = finite & ~converged & (not capped)
+        if not keep.all():
+            if not keep.any():
+                break
+            live, ll, lam, phi, lam_d, ltd_lam, m_inv, sld = (
+                a[keep] for a in (live, ll, lam, phi, lam_d, ltd_lam, m_inv, sld)
+            )
         ll_prev = ll
 
         # E-step: expected cross-moments of data with factors and of factors
@@ -231,27 +299,47 @@ def _em_ascent(s, n, structure, classes, lam0, options):
         inv_lam = lam_d @ kmat                    # sigma^-1 lam, p x d
         sw = sld @ kmat                           # s sigma^-1 lam
         bmat = sw @ phi                           # E[X L'] under current fit
-        core = inv_lam.T @ sw - lam.T @ inv_lam
+        core = inv_lam.transpose(0, 2, 1) @ sw - lam.transpose(0, 2, 1) @ inv_lam
         cmat = phi + phi @ core @ phi
-        cmat = (cmat + cmat.T) / 2.0              # E[L L']
+        cmat = (cmat + cmat.transpose(0, 2, 1)) / 2.0   # E[L L']
 
         # M-step: stacked per-row regressions, then variance refresh
+        n_live = live.size
         lam_new = np.zeros_like(lam)
-        omega_new = s_diag.copy()
-        for rows, pidx in classes:
-            csub = cmat[pidx[:, :, None], pidx[:, None, :]]
-            rhs = bmat[rows[:, None], pidx]
-            coef = np.linalg.solve(csub, rhs[:, :, None])[:, :, 0]
-            lam_new[rows[:, None], pidx] = coef
+        omega_new = np.empty((n_live, p))
+        omega_new[:] = s_diag
+        cflat = cmat.reshape(n_live, d * d)
+        bflat = bmat.reshape(n_live, p * d)
+        lflat = lam_new.reshape(n_live, p * d)
+        for rows, bidx, cidx in flat:
+            rhs = bflat[:, bidx]
+            coef = _per_restart(np.linalg.solve, cflat[:, cidx], rhs[..., None])[..., 0]
+            lflat[:, bidx] = coef
             # at the regression optimum the residual quadratic collapses
-            omega_new[rows] = s_diag[rows] - (coef * rhs).sum(axis=1)
+            omega_new[:, rows] = s_diag[rows] - (coef * rhs).sum(axis=2)
         omega = np.maximum(omega_new, options.omega_floor)
-        scale = np.sqrt(cmat.diagonal())
-        phi = cmat / np.outer(scale, scale)
-        np.fill_diagonal(phi, 1.0)
-        lam = lam_new * scale[None, :]
+        scale = np.sqrt(cmat.diagonal(axis1=1, axis2=2))
+        phi = cmat / (scale[:, :, None] * scale[:, None, :])
+        phi[:, diag, diag] = 1.0
+        lam = lam_new * scale[:, None, :]
         updates += 1
-    return lam, phi, omega, path, converged, updates
+    return outcomes
+
+
+def _start_points(structure, restarts, seed):
+    """Starting loadings of every restart, stacked (restarts x p x d).
+
+    Restart 0 starts at 0.5 on the support; restart ``r > 0`` adds uniform
+    jitter on [-0.1, 0.1] drawn from ``RngState(seed).derive(r)``.
+    """
+    rows = np.asarray([i for i, _ in sorted(structure.support)], dtype=int)
+    cols = np.asarray([j for _, j in sorted(structure.support)], dtype=int)
+    lam0 = np.zeros((restarts, structure.p, structure.d))
+    lam0[:, rows, cols] = 0.5
+    rng = RngState(seed)
+    for r in range(1, restarts):
+        lam0[r, rows, cols] += rng.derive(r).generator.uniform(-0.1, 0.1, size=rows.size)
+    return lam0
 
 
 def fit_mle(s_sample, n, structure, options=None, seed=0):
@@ -294,25 +382,10 @@ def fit_mle(s_sample, n, structure, options=None, seed=0):
             stacklevel=2,
         )
 
-    classes = _row_classes(structure)
-    base = np.zeros((structure.p, structure.d))
-    support_rows = np.asarray([i for i, _ in sorted(structure.support)], dtype=int)
-    support_cols = np.asarray([j for _, j in sorted(structure.support)], dtype=int)
-    base[support_rows, support_cols] = 0.5
-
-    rng = RngState(seed)
+    lam0 = _start_points(structure, options.restarts, seed)
     best = None
-    for r in range(options.restarts):
-        lam0 = base.copy()
-        if r > 0:
-            jitter = rng.derive(r).generator.uniform(
-                -0.1, 0.1, size=support_rows.size
-            )
-            lam0[support_rows, support_cols] += jitter
-        out = _em_ascent(s, n, structure, classes, lam0, options)
-        if out is None:
-            continue
-        if best is None or out[3][-1] > best[3][-1]:
+    for out in _em_ascent(s, n, _row_classes(structure), lam0, options):
+        if out is not None and (best is None or out[3][-1] > best[3][-1]):
             best = out
     if best is None:
         raise NotPositiveDefinite(

@@ -1,8 +1,8 @@
 """End-to-end acceptance battery.
 
 One test per acceptance item, so ``pytest -v`` gives one pass/fail line
-each. These run the toolkit at realistic sizes; the model-selection study
-in test 02 dominates the runtime of the whole suite (about six minutes).
+each. These run the toolkit at realistic sizes; the hundred-replicate
+model-selection study in test 02 is the longest of them.
 """
 
 import json

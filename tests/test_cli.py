@@ -117,6 +117,8 @@ class TestFit:
         assert doc["n"] == 400 and doc["p"] == 15
         chosen = doc["candidates"][doc["selected_index"]]
         assert chosen["structure"]["d"] == 3
+        assert doc["selected_converged"] is chosen["fit"]["converged"]
+        assert doc["models_fitted"] == sum(not c["pruned"] for c in doc["candidates"])
 
     def test_custom_thresholds(self, workspace, tmp_path, capsys):
         _, _, data = workspace
@@ -147,6 +149,20 @@ class TestFit:
         doc = json.loads(out.read_text())
         chosen = doc["candidates"][doc["selected_index"]]
         assert chosen["hd"] == 0
+
+    def test_min_hd_with_simulated_model_as_truth(self, tmp_path, capsys):
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        rc = cli.main(["simulate", "--d", "2", "--children", "3", "--n", "50",
+                       "--out-model", str(model), "--out-data", str(data)])
+        assert rc == 0
+        out = tmp_path / "fit.json"
+        rc = cli.main(["fit", str(data), "--select", "min-hd",
+                       "--truth", str(model), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        validate(doc, "ct_result")
+        assert doc["candidates"][doc["selected_index"]]["hd"] == 0
+        assert doc["selected_converged"] is None and doc["models_fitted"] == 0
 
     def test_corr_json_input(self, tmp_path, capsys):
         corr = np.eye(3)
@@ -217,6 +233,28 @@ class TestEvaluate:
         doc = json.loads(capsys.readouterr().out)
         validate(doc, "metric_report")
         assert doc["hd"] == 0 and doc["f1"] == 1.0
+
+    def test_model_document_scored_by_its_support(self, workspace, tmp_path, capsys):
+        _, model, _ = workspace
+        lam = np.asarray(json.loads(model.read_text())["lambda"])
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps({
+            "p": 15, "d": 3,
+            "support": [[int(i), int(j)] for i, j in zip(*np.nonzero(lam))],
+        }))
+        rc = cli.main(["evaluate", str(est), str(model)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hd"] == 0 and doc["d_true"] == 3
+
+    def test_document_of_neither_kind_is_2(self, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps({"p": 2, "d": 1, "support": [[0, 0], [1, 0]]}))
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"correlation": [[1.0]], "n": 5}))
+        assert cli.main(["evaluate", str(est), str(other)]) == 2
+        err = capsys.readouterr().err
+        assert "expected a structure document" in err and "model document" in err
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 """Threshold sweep orchestration and model selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,9 @@ class TestCtRunSampling:
         result = ct_run(corr, n, CtConfig(selection="none"))
         assert result.selected_index is None
         assert all(c.fit is None and c.bic is None for c in result.candidates)
+        assert result.models_fitted == 0
+        assert not any(c.pruned for c in result.candidates)
+        assert result.selected_converged is None
 
     def test_oracle_mode_populates_hd(self, sampled):
         theta, corr, n = sampled
@@ -188,4 +193,70 @@ class TestCtRunSampling:
         assert doc["models_evaluated"] == len(doc["candidates"])
         sel = doc["candidates"][doc["selected_index"]]
         assert sel["fit"]["converged"] in (True, False)
+        assert doc["selected_converged"] is sel["fit"]["converged"]
         assert isinstance(sel["structure"]["support"], list)
+        assert doc["models_fitted"] == sum(not c["pruned"] for c in doc["candidates"])
+        for cand in doc["candidates"]:
+            if cand["pruned"]:
+                assert cand["bic"] is None and cand["loglik"] is None and cand["fit"] is None
+
+
+def acceptance_draw(seed, phi_scale):
+    """One dataset of the low-dimensional acceptance family (d=3, 5 children, n=1000)."""
+    spec = cf.SimSpec(d=3, children_per_factor=5, n=1000, seed=seed, phi_scale=phi_scale)
+    theta = cf.gen_independent_cluster(spec)
+    return cf.pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec))), spec.n
+
+
+class TestBicPruning:
+    def test_selection_and_bics_match_fitting_everything(self):
+        draws = [(1000 + r, 0.25) for r in range(10)] + [(2000 + r, 0.75) for r in range(10)]
+        pruned = 0
+        for seed, phi_scale in draws:
+            corr, n = acceptance_draw(seed, phi_scale)
+            result = ct_run(corr, n, CtConfig(selection="bic", seed=seed))
+            reference = [
+                cf.fit_mle(corr, n, c.structure, seed=seed + k).bic
+                for k, c in enumerate(result.candidates)
+            ]
+            assert result.selected_index == int(np.argmin(reference)), seed
+            p = corr.shape[0]
+            floor = n * (p * math.log(2 * math.pi) + np.linalg.slogdet(corr)[1] + p)
+            winner = reference[result.selected_index]
+            for k, cand in enumerate(result.candidates):
+                if cand.pruned:
+                    assert cand.fit is None and cand.bic is None and cand.loglik is None
+                    bound = floor + cf.count_free_params(cand.structure) * math.log(n)
+                    assert bound > winner, (seed, k)
+                else:
+                    assert cand.bic == pytest.approx(reference[k], rel=1e-8, abs=0), (seed, k)
+            assert result.models_fitted == sum(not c.pruned for c in result.candidates)
+            pruned += result.models_evaluated - result.models_fitted
+        assert pruned > 0
+
+    @staticmethod
+    def assert_fits_everything(corr, n):
+        taus = tuple(default_thresholds()[4:36:4])
+        with pytest.warns(NonPDSampleWarning):
+            result = ct_run(corr, n, CtConfig(thresholds=taus, selection="bic", seed=0))
+        assert result.models_evaluated > 1
+        assert result.models_fitted == result.models_evaluated
+        assert not any(c.pruned for c in result.candidates)
+
+    def test_off_when_n_not_above_p(self):
+        spec = cf.SimSpec(d=3, children_per_factor=5, n=15, seed=3, phi_scale=0.25)
+        theta = cf.gen_independent_cluster(spec)
+        corr = cf.pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec)))
+        self.assert_fits_everything(corr, spec.n)
+
+    def test_off_for_non_pd_matrix(self):
+        corr, n = acceptance_draw(2000, 0.75)
+        # push the smallest eigenvalue below zero, then restore the unit diagonal
+        vals, vecs = np.linalg.eigh(corr)
+        bent = corr - (vals[0] + 0.05) * np.outer(vecs[:, 0], vecs[:, 0])
+        scale = 1.0 / np.sqrt(np.diag(bent))
+        bent = bent * np.outer(scale, scale)
+        np.fill_diagonal(bent, 1.0)
+        bent = (bent + bent.T) / 2.0
+        assert np.linalg.eigvalsh(bent)[0] < 0
+        self.assert_fits_everything(bent, n)

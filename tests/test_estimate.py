@@ -4,11 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 import ctfactor as cf
-from ctfactor import FitOptions, Structure
-from ctfactor.errors import ConstantColumn, DimensionMismatch, DomainError, NonPDSampleWarning
-from ctfactor.estimate import gaussian_loglik, kfold_test_loglik, pearson_correlation, sample_covariance
+from ctfactor import CtConfig, FitOptions, Structure, ct_run
+from ctfactor.errors import (
+    ConstantColumn,
+    DimensionMismatch,
+    DomainError,
+    NonPDSampleWarning,
+    NotPositiveDefinite,
+)
+from ctfactor.estimate import (
+    _em_ascent,
+    _per_restart,
+    _row_classes,
+    _start_points,
+    gaussian_loglik,
+    kfold_test_loglik,
+    pearson_correlation,
+    sample_covariance,
+    saturated_loglik,
+)
 from ctfactor.model import implied_covariance
 from ctfactor.numerics import RngState, mvn_sample
 from ctfactor.simgen import data_rng
@@ -185,6 +202,172 @@ class TestFitMle:
         three = cf.fit_mle(corr, 800, theta.structure(),
                            options=FitOptions(restarts=3), seed=5)
         assert three.loglik >= one.loglik - 1e-9
+
+
+class TestSaturatedLoglik:
+    def test_equals_loglik_at_sample_matrix(self):
+        gen = RngState(7).generator
+        base = gen.standard_normal((5, 5))
+        s = base @ base.T + np.eye(5)
+        assert saturated_loglik(s, 40) == pytest.approx(gaussian_loglik(s, s, 40), rel=1e-12)
+
+    def test_bounds_every_fit(self):
+        theta, corr = sample_setup(seed=12)
+        ceiling = saturated_loglik(corr, 800)
+        for d in (1, 3):
+            structure = Structure(
+                p=15, d=d, support=frozenset((i, i * d // 15) for i in range(15))
+            )
+            assert cf.fit_mle(corr, 800, structure, seed=0).loglik <= ceiling
+
+    def test_rejects_non_pd(self):
+        corr = np.eye(3)
+        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.9
+        corr[0, 2] = corr[2, 0] = -0.9
+        with pytest.raises(NotPositiveDefinite):
+            saturated_loglik(corr, 100)
+
+
+def sequential_em(s, n, classes, lam0, options):
+    """One restart of the EM ascent, one matrix at a time.
+
+    The reference for the batched ascent: same updates, same stopping rule,
+    ``None`` on a numerical breakdown.
+    """
+    p, d = lam0.shape
+    s_diag = np.diag(s).copy()
+    eye_d = np.eye(d)
+    lam = lam0.copy()
+    phi = eye_d.copy()
+    omega = np.maximum(0.5 * s_diag, options.omega_floor)
+    path = []
+    ll_prev = None
+    converged = False
+    updates = 0
+    while True:
+        dinv = 1.0 / omega
+        lam_d = lam * dinv[:, None]
+        ltd_lam = lam.T @ lam_d
+        try:
+            phi_low = np.linalg.cholesky(phi)
+            phi_inv = cho_solve((phi_low, True), eye_d, check_finite=False)
+            m_low = np.linalg.cholesky(phi_inv + ltd_lam)
+        except np.linalg.LinAlgError:
+            return None
+        m_inv = cho_solve((m_low, True), eye_d, check_finite=False)
+        logdet = (
+            2.0 * np.log(m_low.diagonal()).sum()
+            + 2.0 * np.log(phi_low.diagonal()).sum()
+            + np.log(omega).sum()
+        )
+        sld = s @ lam_d
+        trace = dinv @ s_diag - (m_inv * (lam_d.T @ sld)).sum()
+        ll = float(-0.5 * n * (p * math.log(2.0 * math.pi) + logdet + trace))
+        if not math.isfinite(ll):
+            return None
+        path.append(ll)
+        if ll_prev is not None and abs(ll - ll_prev) < options.loglik_tolerance:
+            converged = True
+            break
+        if updates >= options.max_iterations:
+            break
+        ll_prev = ll
+
+        kmat = eye_d - m_inv @ ltd_lam
+        inv_lam = lam_d @ kmat
+        sw = sld @ kmat
+        bmat = sw @ phi
+        cmat = phi + phi @ (inv_lam.T @ sw - lam.T @ inv_lam) @ phi
+        cmat = (cmat + cmat.T) / 2.0
+
+        lam_new = np.zeros_like(lam)
+        omega_new = s_diag.copy()
+        for rows, pidx in classes:
+            csub = cmat[pidx[:, :, None], pidx[:, None, :]]
+            rhs = bmat[rows[:, None], pidx]
+            coef = np.linalg.solve(csub, rhs[:, :, None])[:, :, 0]
+            lam_new[rows[:, None], pidx] = coef
+            omega_new[rows] = s_diag[rows] - (coef * rhs).sum(axis=1)
+        omega = np.maximum(omega_new, options.omega_floor)
+        scale = np.sqrt(cmat.diagonal())
+        phi = cmat / np.outer(scale, scale)
+        np.fill_diagonal(phi, 1.0)
+        lam = lam_new * scale[None, :]
+        updates += 1
+    return lam, phi, omega, path, converged, updates
+
+
+def final_logliks(outcomes):
+    return [None if out is None else out[3][-1] for out in outcomes]
+
+
+def assert_matches_oracle(s, n, structure, lam0, options):
+    classes = _row_classes(structure)
+    batched = _em_ascent(s, n, classes, lam0, options)
+    oracle = [sequential_em(s, n, classes, start, options) for start in lam0]
+    assert [o is None for o in batched] == [o is None for o in oracle]
+    for got, want in zip(batched, oracle):
+        if want is None:
+            continue
+        assert got[5] == want[5]  # iterations
+        assert got[4] == want[4]  # converged
+        assert len(got[3]) == len(want[3])
+        assert got[3][-1] == pytest.approx(want[3][-1], rel=1e-10, abs=0)
+    lls, ref = final_logliks(batched), final_logliks(oracle)
+    alive = [r for r, ll in enumerate(ref) if ll is not None]
+    assert max(alive, key=lambda r: lls[r]) == max(alive, key=lambda r: ref[r])
+    return batched
+
+
+class TestBatchedRestarts:
+    def test_matches_sequential_oracle_on_sweep_candidates(self):
+        # every candidate of one acceptance-family draw, including the
+        # over-factored ones that run to the iteration cap
+        spec = cf.SimSpec(d=3, children_per_factor=5, n=1000, seed=2000, phi_scale=0.75)
+        theta = cf.gen_independent_cluster(spec)
+        corr = pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec)))
+        sweep = ct_run(corr, spec.n, CtConfig(selection="none"))
+        capped = 0
+        for k, cand in enumerate(sweep.candidates):
+            if cand.structure.d > 5:
+                continue
+            lam0 = _start_points(cand.structure, 3, spec.seed + k)
+            outs = assert_matches_oracle(corr, spec.n, cand.structure, lam0, FitOptions())
+            capped += sum(not out[4] for out in outs)
+        assert capped > 0
+
+    def test_restarts_stop_at_different_iterations(self):
+        theta, corr = sample_setup(seed=9)
+        lam0 = _start_points(theta.structure(), 4, 3)
+        outs = assert_matches_oracle(corr, 800, theta.structure(), lam0, FitOptions())
+        assert len({out[5] for out in outs}) > 1
+
+    def test_broken_restart_dropped_alone(self):
+        theta, corr = sample_setup(seed=5)
+        structure = theta.structure()
+        lam0 = _start_points(structure, 3, 0)
+        i, j = min(structure.support)
+        lam0[1, i, j] = np.nan
+        outs = assert_matches_oracle(corr, 800, structure, lam0, FitOptions())
+        assert outs[1] is None
+        assert outs[0] is not None and outs[2] is not None
+
+    def test_fallback_isolates_failed_factorization(self):
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        stack = np.stack([np.eye(2), bad, 4.0 * np.eye(2)])
+        low = _per_restart(np.linalg.cholesky, stack)
+        assert np.array_equal(low[0], np.eye(2))
+        assert np.all(np.isnan(low[1]))
+        assert np.array_equal(low[2], 2.0 * np.eye(2))
+
+    def test_fit_picks_best_restart(self):
+        theta, corr = sample_setup(seed=44)
+        structure = theta.structure()
+        fit = cf.fit_mle(corr, 800, structure, seed=5)
+        lam0 = _start_points(structure, 3, 5)
+        oracle = [sequential_em(corr, 800, _row_classes(structure), start, FitOptions())
+                  for start in lam0]
+        assert fit.loglik == pytest.approx(max(o[3][-1] for o in oracle), rel=1e-10, abs=0)
 
 
 class TestSampleMoments:
