@@ -224,7 +224,8 @@ def _em_ascent(s, n, classes, lam0, options):
 
     Returns one entry per restart: ``(lam, phi, omega, path, converged,
     updates)``, or ``None`` for a restart that broke down numerically (a
-    failed factorization or a non-finite log-likelihood). Each restart
+    failed factorization, a non-positive E[LL'] diagonal or a non-finite
+    log-likelihood). Each restart
     stops at its own tolerance or at the iteration cap and then leaves the
     batch, so its path is the one it would follow alone.
     """
@@ -318,7 +319,10 @@ def _em_ascent(s, n, classes, lam0, options):
             # at the regression optimum the residual quadratic collapses
             omega_new[:, rows] = s_diag[rows] - (coef * rhs).sum(axis=2)
         omega = np.maximum(omega_new, options.omega_floor)
-        scale = np.sqrt(cmat.diagonal(axis1=1, axis2=2))
+        # a non-positive E[LL'] diagonal (possible on a non-PD s) breaks the
+        # restart: its slot turns NaN, as after a failed factorization
+        cdiag = cmat.diagonal(axis1=1, axis2=2)
+        scale = np.sqrt(np.where(cdiag > 0, cdiag, np.nan))
         phi = cmat / (scale[:, :, None] * scale[:, None, :])
         phi[:, diag, diag] = 1.0
         lam = lam_new * scale[:, None, :]

@@ -20,7 +20,6 @@ from ctfactor import (
     SimSpec,
     Structure,
     brute_force_independent_cliques,
-    brute_force_metric,
     build_graph,
     cli,
     consistency_bound,
@@ -45,6 +44,7 @@ from ctfactor import (
     unique_children,
 )
 from ctfactor.io import save_json
+from oracles import brute_force_metric
 
 TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
 

@@ -1,6 +1,7 @@
 """Threshold sweep orchestration and model selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,7 +250,8 @@ class TestBicPruning:
         corr = cf.pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec)))
         self.assert_fits_everything(corr, spec.n)
 
-    def test_off_for_non_pd_matrix(self):
+    @staticmethod
+    def non_pd_draw():
         corr, n = acceptance_draw(2000, 0.75)
         # push the smallest eigenvalue below zero, then restore the unit diagonal
         vals, vecs = np.linalg.eigh(corr)
@@ -259,4 +261,15 @@ class TestBicPruning:
         np.fill_diagonal(bent, 1.0)
         bent = (bent + bent.T) / 2.0
         assert np.linalg.eigvalsh(bent)[0] < 0
-        self.assert_fits_everything(bent, n)
+        return bent, n
+
+    def test_off_for_non_pd_matrix(self):
+        self.assert_fits_everything(*self.non_pd_draw())
+
+    def test_non_pd_matrix_raises_no_runtime_warning(self):
+        # a restart whose E[LL'] diagonal turns non-positive is dropped
+        # silently, like one whose factorization fails
+        bent, n = self.non_pd_draw()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.assert_fits_everything(bent, n)
