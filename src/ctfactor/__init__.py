@@ -8,7 +8,7 @@ out the toolkit. See the ``ctfactor`` command line tool for the same
 functionality on files.
 """
 
-from .ct import CtCandidate, CtConfig, CtResult, ct_run, dedupe_structures, default_thresholds
+from .ct import CtCandidate, CtConfig, CtResult, ct_run, default_thresholds
 from .errors import (
     ConstantColumn,
     CtFactorError,
@@ -39,11 +39,8 @@ from .estimate import (
 from .graph import (
     CliqueSet,
     ThresholdedGraph,
-    brute_force_independent_cliques,
     build_graph,
     independent_maximal_cliques,
-    is_clique,
-    neighborhood,
     structure_from_cliques,
 )
 from .metrics import MetricReport, hamming_distance
@@ -107,14 +104,12 @@ __all__ = [
     "TooLarge",
     "bic",
     "bic_value",
-    "brute_force_independent_cliques",
     "build_graph",
     "cholesky",
     "consistency_bound",
     "count_free_params",
     "ct_run",
     "data_rng",
-    "dedupe_structures",
     "default_thresholds",
     "edge_partition",
     "fit_mle",
@@ -128,11 +123,9 @@ __all__ = [
     "implied_correlation",
     "implied_covariance",
     "independent_maximal_cliques",
-    "is_clique",
     "kfold_test_loglik",
     "logdet_pd",
     "mvn_sample",
-    "neighborhood",
     "pearson_correlation",
     "rotational_uniqueness_check",
     "sample_covariance",

@@ -177,11 +177,7 @@ def cmd_simulate(args):
 
 def cmd_cliques(args):
     t0 = time.perf_counter()
-    corr, _ = (
-        read_corr_json(args.input)
-        if args.input.endswith(".json")
-        else (_load_matrix_input(args.input))
-    )
+    corr, _ = _load_matrix_input(args.input)
     ingest_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     graph = build_graph(corr, args.tau)

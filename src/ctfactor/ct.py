@@ -7,6 +7,13 @@ are merged, and, under likelihood selection, each distinct structure is
 fitted so the lowest BIC wins. Selection can also defer to an oracle
 structure (smallest Hamming distance) or be skipped.
 
+The sweep is one pass: the matrix is validated and its symmetric
+absolute value ``max(|r_ij|, |r_ji|)`` taken once. Thresholds ascend, so
+each graph's edge set lies inside the previous one's, and a threshold
+whose graph keeps the previous edge count keeps the previous graph; it
+reuses that graph's cliques and candidate (or its skip) without searching
+again.
+
 BIC selection fits candidates in ascending free-parameter count ``k`` and
 skips (prunes) any whose BIC could not reach the best one so far even at
 the saturated log-likelihood ``l_sat``, the ceiling of every fit: a
@@ -25,10 +32,16 @@ import numpy as np
 
 from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
 from .estimate import FitOptions, count_free_params, fit_mle, saturated_loglik
-from .graph import build_graph, independent_maximal_cliques, structure_from_cliques
+from .graph import (
+    _symmetric_abs,
+    _threshold,
+    _validate_corr,
+    independent_maximal_cliques,
+    structure_from_cliques,
+)
 from .metrics import hamming_distance
 
-__all__ = ["CtConfig", "CtCandidate", "CtResult", "default_thresholds", "dedupe_structures", "ct_run"]
+__all__ = ["CtConfig", "CtCandidate", "CtResult", "default_thresholds", "ct_run"]
 
 SELECTIONS = ("bic", "min-hd-oracle", "none")
 
@@ -154,27 +167,6 @@ class CtResult:
         }
 
 
-def dedupe_structures(structures):
-    """Merge structures equal up to factor relabeling.
-
-    Returns ``(unique, groups)`` where ``groups[k]`` lists the input
-    indices collapsed into ``unique[k]``, in first-appearance order.
-    """
-    unique = []
-    groups = []
-    by_key = {}
-    for idx, s in enumerate(structures):
-        key = s.canonical_key()
-        at = by_key.get(key)
-        if at is None:
-            by_key[key] = len(unique)
-            unique.append(s)
-            groups.append([idx])
-        else:
-            groups[at].append(idx)
-    return unique, groups
-
-
 def ct_run(corr, n, config=None):
     """Run the full threshold sweep on a correlation matrix.
 
@@ -191,10 +183,11 @@ def ct_run(corr, n, config=None):
     CtResult
     """
     config = config or CtConfig()
-    corr = np.asarray(corr, dtype=float)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    p = corr.shape[0] if corr.ndim == 2 else 0
+    t0 = time.perf_counter()
+    corr = _validate_corr(corr)
+    p = corr.shape[0]
     if config.selection == "bic" and n < p:
         warnings.warn(
             f"BIC selection with n={n} < p={p}: the sample correlation matrix "
@@ -203,41 +196,39 @@ def ct_run(corr, n, config=None):
             stacklevel=2,
         )
 
-    t0 = time.perf_counter()
+    absr = _symmetric_abs(corr)
     candidates = []
     by_key = {}
     skipped = []
     prev_edges = None
+    at = None  # candidate of the current graph; None when it has no cliques
     for tau in config.thresholds:
-        graph = build_graph(corr, tau)
+        graph = _threshold(absr, tau)
         edges = graph.edge_count()
-        # thresholds are ascending, so edge sets can only shrink
-        assert prev_edges is None or edges <= prev_edges
-        prev_edges = edges
-        cliques = independent_maximal_cliques(graph)
-        if len(cliques) == 0:
-            skipped.append(float(tau))
-            continue
-        structure = structure_from_cliques(cliques)
-        key = structure.canonical_key()
-        at = by_key.get(key)
+        # thresholds ascend, so edge sets are nested: an unchanged edge
+        # count is an unchanged graph, with the previous tau's outcome
+        if edges != prev_edges:
+            prev_edges = edges
+            cliques = independent_maximal_cliques(graph)
+            at = None
+            if len(cliques) > 0:
+                structure = structure_from_cliques(cliques)
+                key = structure.canonical_key()
+                at = by_key.get(key)
+                if at is None:
+                    flags = []
+                    if structure.d == structure.p:
+                        flags.append("trivial")
+                    if structure.zero_rows():
+                        flags.append("zero_rows")
+                    at = by_key[key] = len(candidates)
+                    candidates.append(
+                        CtCandidate(structure=structure, tau_values=(), flags=tuple(flags))
+                    )
         if at is None:
-            flags = []
-            if structure.d == structure.p:
-                flags.append("trivial")
-            if structure.zero_rows():
-                flags.append("zero_rows")
-            by_key[key] = len(candidates)
-            candidates.append(
-                CtCandidate(
-                    structure=structure,
-                    tau_values=(float(tau),),
-                    flags=tuple(flags),
-                )
-            )
+            skipped.append(float(tau))
         else:
-            cand = candidates[at]
-            cand.tau_values = cand.tau_values + (float(tau),)
+            candidates[at].tau_values += (float(tau),)
     sweep_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

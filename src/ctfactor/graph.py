@@ -8,34 +8,36 @@ clique (a unique member), and it equals the closed neighborhood of any of
 its unique members. That characterization gives a quadratic-time search:
 test each vertex's closed neighborhood for cliqueness.
 
-The search here does exactly that, with two cheap accelerations: closed
-neighborhoods are cached by their byte pattern (equal neighborhoods share
-one verdict), and a neighborhood whose members have smaller closed
-neighborhoods than the candidate set is rejected without forming the
-submatrix. A set-recursion Bron-Kerbosch enumerator (with pivoting) is
-kept as an independent oracle for small graphs.
+The search here does exactly that on bit-packed closed neighborhoods
+(``p / 8`` bytes per row). A closed neighborhood ``N[i]`` is a clique
+exactly when every member ``j`` has ``N[j] ⊇ N[i]``, which is one AND per
+member row. Equal packed rows share one verdict, and a neighborhood with a
+member whose closed neighborhood is smaller is rejected before any row is
+compared.
+
+Validating the matrix, taking its symmetric absolute value and
+thresholding are separate steps, so a sweep over many thresholds does the
+first two once (see ``ct.ct_run``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyCliqueSet, TooLarge
+from .errors import DimensionMismatch, DomainError, EmptyCliqueSet
 from .model import Structure
 
 __all__ = [
     "ThresholdedGraph",
     "CliqueSet",
     "build_graph",
-    "neighborhood",
-    "is_clique",
     "independent_maximal_cliques",
-    "brute_force_independent_cliques",
     "structure_from_cliques",
 ]
 
-#: Vertex-count guard for the brute-force enumerator.
-BRUTE_FORCE_MAX_VERTICES = 25
+#: Rows per tile where a matrix meets its transpose: a row tile and the
+#: matching column tile stay in cache, which a whole ``arr.T`` does not.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class ThresholdedGraph:
     closed: np.ndarray
 
     def edge_count(self):
-        return int(self.adjacency.sum()) // 2
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def edges(self):
         """Sorted list of (i, j) pairs with i < j."""
@@ -94,49 +96,62 @@ def build_graph(corr, tau):
     Parameters
     ----------
     corr : array_like
-        Symmetric matrix with unit diagonal (within 1e-9). Positive
-        definiteness is not required.
+        Non-empty symmetric matrix (within 1e-8) with unit diagonal
+        (within 1e-9). Positive definiteness is not required.
     tau : float
         Threshold in ``[0, 1]``. Pairs with ``|corr[i, j]| > tau``
         (strictly) become edges.
     """
+    return _threshold(_symmetric_abs(_validate_corr(corr)), tau)
+
+
+def _validate_corr(corr):
+    """``corr`` as a float array, or an error for a matrix no graph is built from."""
     arr = np.asarray(corr, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"correlation must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise DimensionMismatch(
+            f"correlation must be a non-empty square matrix, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
         raise DomainError("correlation contains non-finite entries")
-    if np.abs(arr - arr.T).max() > 1e-8:
-        raise DimensionMismatch("correlation matrix is not symmetric")
+    for lo in range(0, arr.shape[0], _TILE):
+        hi = lo + _TILE
+        # |a_ij - a_ji| is symmetric, so the upper block triangle covers every pair
+        if np.abs(arr[lo:hi, lo:] - arr[lo:, lo:hi].T).max() > 1e-8:
+            raise DimensionMismatch("correlation matrix is not symmetric")
     if np.abs(np.diag(arr) - 1.0).max() > 1e-9:
         raise DomainError("correlation diagonal must be 1 (within 1e-9)")
+    return arr
+
+
+def _symmetric_abs(arr):
+    """``max(|r_ij|, |r_ji|)`` at both ``(i, j)`` and ``(j, i)``.
+
+    Thresholding this matrix makes an edge wherever either triangle exceeds
+    ``tau``, so every graph is symmetric even where ``r`` is symmetric only
+    within the validation tolerance.
+    """
+    absr = np.abs(arr)
+    for lo in range(0, absr.shape[0], _TILE):
+        hi = lo + _TILE
+        np.maximum(absr[lo:hi, lo:], absr[lo:, lo:hi].T, out=absr[lo:hi, lo:])
+        absr[lo:, lo:hi] = absr[lo:hi, lo:].T
+    return absr
+
+
+def _threshold(absr, tau):
+    """Graph of ``absr > tau`` for ``absr`` from ``_symmetric_abs``."""
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau must lie in [0, 1], got {tau}")
-    adjacency = np.abs(arr) > tau
+    adjacency = absr > tau
     np.fill_diagonal(adjacency, False)
-    adjacency = adjacency | adjacency.T
     closed = adjacency.copy()
     np.fill_diagonal(closed, True)
     adjacency.flags.writeable = False
     closed.flags.writeable = False
     return ThresholdedGraph(
-        p=arr.shape[0], tau=float(tau), adjacency=adjacency, closed=closed
+        p=absr.shape[0], tau=float(tau), adjacency=adjacency, closed=closed
     )
-
-
-def neighborhood(graph, vertex):
-    """Closed neighborhood of ``vertex`` (the vertex plus its neighbors)."""
-    if not 0 <= vertex < graph.p:
-        raise DomainError(f"vertex {vertex} out of range for p={graph.p}")
-    return frozenset(int(v) for v in np.flatnonzero(graph.closed[vertex]))
-
-def is_clique(graph, vertices):
-    """True when every pair in ``vertices`` is adjacent."""
-    idx = np.fromiter((int(v) for v in set(vertices)), dtype=int)
-    if idx.size > 0 and (idx.min() < 0 or idx.max() >= graph.p):
-        raise DomainError(f"vertex out of range for p={graph.p}")
-    if idx.size <= 1:
-        return True
-    return bool(np.all(graph.closed[np.ix_(idx, idx)]))
 
 
 def independent_maximal_cliques(graph):
@@ -145,90 +160,39 @@ def independent_maximal_cliques(graph):
     Scans each vertex once: the vertex's closed neighborhood is an
     independent maximal clique exactly when it is a clique, and the
     vertices generating the same clique are precisely its unique members.
-    Runs in roughly the sum of squared degrees.
+    Runs in roughly the sum of degrees times ``p / 8`` bytes.
     """
     closed = graph.closed
-    sizes = closed.sum(axis=1)
+    packed = np.packbits(closed, axis=1)
+    sizes = np.count_nonzero(closed, axis=1)
     verdict_by_key = {}
     cliques = []
     members_of = []
     for i in range(graph.p):
-        row = closed[i]
+        row = packed[i]
         key = row.tobytes()
         hit = verdict_by_key.get(key, -1)
         if hit != -1:
             if hit is not None:
                 members_of[hit].append(i)
             continue
-        members = np.flatnonzero(row)
-        # a member with a smaller closed neighborhood cannot contain this one
-        if sizes[members].min() < sizes[i]:
+        members = np.flatnonzero(closed[i])
+        # N[i] is a clique iff every member j has N[j] ⊇ N[i]; a member
+        # with a smaller closed neighborhood fails without a comparison
+        if sizes[members].min() < sizes[i] or not np.all(
+            (packed[members] & row) == row
+        ):
             verdict_by_key[key] = None
             continue
-        if np.all(closed[np.ix_(members, members)]):
-            verdict_by_key[key] = len(cliques)
-            cliques.append(frozenset(int(v) for v in members))
-            members_of.append([i])
-        else:
-            verdict_by_key[key] = None
-    order = sorted(range(len(cliques)), key=lambda k: min(members_of[k]))
+        verdict_by_key[key] = len(cliques)
+        cliques.append(frozenset(int(v) for v in members))
+        members_of.append([i])
+    # vertices are scanned in order, so cliques come by smallest unique member
     return CliqueSet(
         p=graph.p,
         tau=graph.tau,
-        cliques=tuple(cliques[k] for k in order),
-        unique_members=tuple(frozenset(members_of[k]) for k in order),
-    )
-
-
-def _bron_kerbosch(current, candidates, excluded, neighbors, out):
-    # pivoting variant; recursion depth bounded by the vertex count
-    if not candidates and not excluded:
-        out.append(frozenset(current))
-        return
-    pivot = max(candidates | excluded, key=lambda u: len(candidates & neighbors[u]))
-    for v in list(candidates - neighbors[pivot]):
-        _bron_kerbosch(
-            current | {v},
-            candidates & neighbors[v],
-            excluded & neighbors[v],
-            neighbors,
-            out,
-        )
-        candidates.discard(v)
-        excluded.add(v)
-
-
-def brute_force_independent_cliques(graph):
-    """Oracle: enumerate all maximal cliques, then filter independent ones.
-
-    A maximal clique is independent when it contains a vertex belonging to
-    no other maximal clique. Guarded to ``p <= 25``.
-    """
-    if graph.p > BRUTE_FORCE_MAX_VERTICES:
-        raise TooLarge(
-            f"brute-force clique enumeration capped at p={BRUTE_FORCE_MAX_VERTICES}, "
-            f"got p={graph.p}"
-        )
-    neighbors = [
-        set(int(v) for v in np.flatnonzero(graph.adjacency[i])) for i in range(graph.p)
-    ]
-    all_maximal = []
-    _bron_kerbosch(set(), set(range(graph.p)), set(), neighbors, all_maximal)
-    counts = np.zeros(graph.p, dtype=int)
-    for clique in all_maximal:
-        for v in clique:
-            counts[v] += 1
-    kept = []
-    for clique in all_maximal:
-        unique = frozenset(v for v in clique if counts[v] == 1)
-        if unique:
-            kept.append((clique, unique))
-    kept.sort(key=lambda item: min(item[1]))
-    return CliqueSet(
-        p=graph.p,
-        tau=graph.tau,
-        cliques=tuple(c for c, _ in kept),
-        unique_members=tuple(u for _, u in kept),
+        cliques=tuple(cliques),
+        unique_members=tuple(frozenset(m) for m in members_of),
     )
 
 

@@ -1,10 +1,17 @@
-"""Reference implementations of the structure metric, for tests only.
+"""Reference implementations for tests only.
 
-``brute_force_metric`` enumerates every padded column permutation, so it
+Structure metric. ``brute_force_metric`` enumerates every padded column permutation, so it
 is exact by construction but capped at a few columns. ``dense_lsa_metric``
 solves the padded assignment problem on the dense overlap matrix in one
 solver call; it is the method the package used before the per-component
 solve, and it scales to the sizes of the sparse metric's exactness tests.
+
+Graphs. ``brute_force_independent_cliques`` enumerates every maximal
+clique by Bron-Kerbosch with pivoting (Bron & Kerbosch 1973; Tomita et al.
+2006) and keeps those with a vertex in no other maximal clique; it is
+capped at 25 vertices. ``neighborhood`` and ``is_clique`` read a graph
+directly. ``per_tau_sweep`` rebuilds and searches the graph at every
+threshold, as the sweep did before it became one pass.
 """
 
 import itertools
@@ -12,11 +19,20 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ctfactor import MetricReport
+from ctfactor import (
+    CliqueSet,
+    MetricReport,
+    build_graph,
+    independent_maximal_cliques,
+    structure_from_cliques,
+)
 from ctfactor.errors import DimensionMismatch, DomainError, TooLarge
 
 #: Column-count guard for the brute-force permutation oracle.
 BRUTE_FORCE_MAX_COLUMNS = 8
+
+#: Vertex-count guard for the brute-force clique enumerator.
+BRUTE_FORCE_MAX_VERTICES = 25
 
 
 def brute_force_metric(est, truth, which):
@@ -95,3 +111,98 @@ def dense_lsa_metric(est, truth):
         d_hat=est.d,
         d_true=truth.d,
     )
+
+
+def neighborhood(graph, vertex):
+    """Closed neighborhood of ``vertex`` (the vertex plus its neighbors)."""
+    if not 0 <= vertex < graph.p:
+        raise DomainError(f"vertex {vertex} out of range for p={graph.p}")
+    return frozenset(int(v) for v in np.flatnonzero(graph.closed[vertex]))
+
+
+def is_clique(graph, vertices):
+    """True when every pair in ``vertices`` is adjacent."""
+    idx = np.fromiter((int(v) for v in set(vertices)), dtype=int)
+    if idx.size > 0 and (idx.min() < 0 or idx.max() >= graph.p):
+        raise DomainError(f"vertex out of range for p={graph.p}")
+    if idx.size <= 1:
+        return True
+    return bool(np.all(graph.closed[np.ix_(idx, idx)]))
+
+
+def _bron_kerbosch(current, candidates, excluded, neighbors, out):
+    # pivoting variant; recursion depth bounded by the vertex count
+    if not candidates and not excluded:
+        out.append(frozenset(current))
+        return
+    pivot = max(candidates | excluded, key=lambda u: len(candidates & neighbors[u]))
+    for v in list(candidates - neighbors[pivot]):
+        _bron_kerbosch(
+            current | {v},
+            candidates & neighbors[v],
+            excluded & neighbors[v],
+            neighbors,
+            out,
+        )
+        candidates.discard(v)
+        excluded.add(v)
+
+
+def brute_force_independent_cliques(graph):
+    """Oracle: enumerate all maximal cliques, then filter independent ones.
+
+    A maximal clique is independent when it contains a vertex belonging to
+    no other maximal clique. Guarded to ``p <= 25``.
+    """
+    if graph.p > BRUTE_FORCE_MAX_VERTICES:
+        raise TooLarge(
+            f"brute-force clique enumeration capped at p={BRUTE_FORCE_MAX_VERTICES}, "
+            f"got p={graph.p}"
+        )
+    neighbors = [
+        set(int(v) for v in np.flatnonzero(graph.adjacency[i])) for i in range(graph.p)
+    ]
+    all_maximal = []
+    _bron_kerbosch(set(), set(range(graph.p)), set(), neighbors, all_maximal)
+    counts = np.zeros(graph.p, dtype=int)
+    for clique in all_maximal:
+        for v in clique:
+            counts[v] += 1
+    kept = []
+    for clique in all_maximal:
+        unique = frozenset(v for v in clique if counts[v] == 1)
+        if unique:
+            kept.append((clique, unique))
+    kept.sort(key=lambda item: min(item[1]))
+    return CliqueSet(
+        p=graph.p,
+        tau=graph.tau,
+        cliques=tuple(c for c, _ in kept),
+        unique_members=tuple(u for _, u in kept),
+    )
+
+
+def per_tau_sweep(corr, thresholds):
+    """The sweep rebuilt at every threshold: ``build_graph`` and a search each.
+
+    Returns ``(cliques, candidates, skipped)``: the clique set of each
+    threshold, the distinct structures in first-appearance order as
+    ``(structure, tau_values)`` pairs, and the thresholds without cliques.
+    """
+    cliques_at = []
+    candidates = []
+    by_key = {}
+    skipped = []
+    for tau in thresholds:
+        cliques = independent_maximal_cliques(build_graph(corr, tau))
+        cliques_at.append(cliques)
+        if len(cliques) == 0:
+            skipped.append(float(tau))
+            continue
+        structure = structure_from_cliques(cliques)
+        key = structure.canonical_key()
+        if key not in by_key:
+            by_key[key] = len(candidates)
+            candidates.append((structure, []))
+        candidates[by_key[key]][1].append(float(tau))
+    return cliques_at, [(s, tuple(t)) for s, t in candidates], tuple(skipped)

@@ -19,7 +19,6 @@ from ctfactor import (
     RngState,
     SimSpec,
     Structure,
-    brute_force_independent_cliques,
     build_graph,
     cli,
     consistency_bound,
@@ -44,7 +43,7 @@ from ctfactor import (
     unique_children,
 )
 from ctfactor.io import save_json
-from oracles import brute_force_metric
+from oracles import brute_force_independent_cliques, brute_force_metric
 
 TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
 

@@ -2,15 +2,23 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ctfactor as cf
-from ctfactor import CtConfig, Structure, ct_run, dedupe_structures, default_thresholds
-from ctfactor.errors import DomainError, MissingTruth, NonPDSampleWarning
+import ctfactor.ct as ct_module
+import ctfactor.graph as graph_module
+from ctfactor import CtConfig, Structure, build_graph, ct_run, default_thresholds
+from ctfactor.errors import DimensionMismatch, DomainError, MissingTruth, NonPDSampleWarning
 from ctfactor.model import implied_correlation
 from ctfactor.simgen import data_rng
+from oracles import BRUTE_FORCE_MAX_VERTICES, brute_force_independent_cliques, per_tau_sweep
+
+GRID = tuple(float(t) for t in default_thresholds())
 
 
 class TestDefaultThresholds:
@@ -44,40 +52,44 @@ class TestCtConfig:
 
 
 class TestDedupe:
+    """Candidates are merged by ``Structure.canonical_key``, in first-appearance order."""
+
     def test_column_swap_merged(self):
         a = Structure(p=4, d=2, support=frozenset({(0, 0), (1, 0), (2, 1), (3, 1)}))
         b = Structure(p=4, d=2, support=frozenset({(0, 1), (1, 1), (2, 0), (3, 0)}))
-        unique, groups = dedupe_structures([a, b])
-        assert len(unique) == 1
-        assert groups == [[0, 1]]
+        assert a.canonical_key() == b.canonical_key()
 
     def test_distinct_d_never_merged(self):
         a = Structure(p=3, d=1, support=frozenset({(0, 0), (1, 0), (2, 0)}))
         b = Structure(p=3, d=2, support=frozenset({(0, 0), (1, 0), (2, 1)}))
-        unique, groups = dedupe_structures([a, b])
-        assert len(unique) == 2
+        assert a.canonical_key() != b.canonical_key()
 
     def test_multiplicities_sum_to_input_length(self):
-        base = Structure(p=3, d=1, support=frozenset({(0, 0), (1, 0)}))
-        other = Structure(p=3, d=1, support=frozenset({(1, 0), (2, 0)}))
-        unique, groups = dedupe_structures([base, other, base, base])
-        assert sum(len(g) for g in groups) == 4
-        assert [len(g) for g in groups] == [3, 1]
+        # edge {0, 1} up to tau 0.6: cliques {0, 1} and {2} at three taus,
+        # then the singletons at one
+        corr = np.eye(3)
+        corr[0, 1] = corr[1, 0] = 0.6
+        cfg = CtConfig(thresholds=(0.1, 0.2, 0.3, 0.7), selection="none")
+        result = ct_run(corr, 100, cfg)
+        assert [c.tau_values for c in result.candidates] == [(0.1, 0.2, 0.3), (0.7,)]
+        counts = [len(c.tau_values) for c in result.candidates]
+        assert sum(counts) + len(result.skipped_taus) == len(cfg.thresholds)
 
     def test_merged_structures_have_zero_distance(self):
         gen = np.random.default_rng(5)
-        structures = []
+        groups = {}
         for _ in range(40):
             d = int(gen.integers(1, 4))
             mat = gen.random((6, d)) < 0.5
             if not np.all(mat.sum(axis=0) >= 1):
                 continue
             support = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mat)))
-            structures.append(Structure(p=6, d=d, support=support))
-        unique, groups = dedupe_structures(structures)
-        for u, g in zip(unique, groups):
-            for idx in g:
-                assert cf.hamming_distance(structures[idx], u).hd == 0
+            s = Structure(p=6, d=d, support=support)
+            groups.setdefault(s.canonical_key(), []).append(s)
+        assert any(len(g) > 1 for g in groups.values())
+        for first, *rest in groups.values():
+            for s in rest:
+                assert cf.hamming_distance(s, first).hd == 0
 
 
 class TestCtRunPopulation:
@@ -110,6 +122,154 @@ class TestCtRunPopulation:
         result = ct_run(corr, 100, CtConfig(thresholds=(0.3, 0.9), selection="none"))
         assert result.skipped_taus == (0.3,)
         assert result.models_evaluated == 1  # the empty graph's singletons at 0.9
+
+
+def _asymmetric():
+    corr = np.eye(3)
+    corr[0, 1], corr[1, 0] = 0.3, 0.3 + 2e-8
+    return corr
+
+
+def _nan_entry():
+    corr = np.eye(3)
+    corr[0, 2] = corr[2, 0] = np.nan
+    return corr
+
+
+def _bad_diagonal():
+    corr = np.eye(3)
+    corr[1, 1] = 1.0 + 2e-9
+    return corr
+
+
+class TestCtRunRejectsBadMatrix:
+    @pytest.mark.parametrize(
+        "corr, error",
+        [
+            (np.zeros((0, 0)), DimensionMismatch),
+            (np.zeros((2, 3)), DimensionMismatch),
+            (_asymmetric(), DimensionMismatch),
+            (_nan_entry(), DomainError),
+            (_bad_diagonal(), DomainError),
+        ],
+        ids=["empty", "not-square", "asymmetric", "nan", "diagonal"],
+    )
+    @pytest.mark.parametrize("selection", ["bic", "none"])
+    def test_same_error_as_build_graph(self, corr, error, selection):
+        with pytest.raises(error):
+            build_graph(corr, 0.0)
+        with pytest.raises(error):
+            ct_run(corr, 100, CtConfig(selection=selection))
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestOnePassSweep:
+    @staticmethod
+    def blocks():
+        # two 4-cliques at |r| 0.5 joined by one 0.3 edge: 40 taus, 3 edge counts
+        corr = np.eye(8)
+        for block in (range(4), range(4, 8)):
+            for i in block:
+                for j in block:
+                    if i != j:
+                        corr[i, j] = 0.5
+        corr[3, 4] = corr[4, 3] = -0.3
+        return corr
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        for module in (ct_module, graph_module):
+            _count_calls(monkeypatch, module, "_validate_corr", calls)
+        result = ct_run(self.blocks(), 100, CtConfig(selection="none"))
+        assert len(CtConfig().thresholds) == 40
+        assert calls == ["_validate_corr"]
+        assert result.models_evaluated == 2  # the two 4-cliques, then singletons
+
+    def test_equal_edge_counts_reuse_search(self, monkeypatch):
+        corr = self.blocks()
+        taus = CtConfig().thresholds
+        distinct = {build_graph(corr, t).edge_count() for t in taus}
+        assert distinct == {13, 12, 0}
+        calls = []
+        _count_calls(monkeypatch, ct_module, "independent_maximal_cliques", calls)
+        _count_calls(monkeypatch, ct_module, "structure_from_cliques", calls)
+        result = ct_run(corr, 100, CtConfig(selection="none"))
+        assert calls.count("independent_maximal_cliques") == 3
+        assert calls.count("structure_from_cliques") == 3
+        assert sum(len(c.tau_values) for c in result.candidates) == 40
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A matrix whose |r| values lie on the tau grid, a sub-grid and a tile size.
+
+    Few distinct levels give runs of taus with equal edge counts; entries
+    that sit exactly on a tau test the strict ``|r| > tau``; the lower
+    triangle may differ from the upper by up to 0.5e-8 and the diagonal
+    from 1 by up to 0.5e-9, inside the validation tolerances. Small tiles
+    split these matrices the way the default tile splits large ones.
+    """
+    p = draw(st.integers(1, 40))
+    taus = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=40, unique=True))
+    levels = np.array(draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(("levels", "clusters", "complete", "edgeless")))
+    asymmetric = draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "levels":
+        upper = gen.choice(levels, size=(p, p))
+    elif kind == "clusters":
+        labels = gen.integers(0, max(1, p // 3), size=p)
+        within = labels[:, None] == labels[None, :]
+        upper = gen.choice(levels, size=(p, p)) * (within | (gen.random((p, p)) < 0.1))
+    elif kind == "complete":
+        upper = np.full((p, p), max(levels.max(), GRID[1]))
+    else:
+        upper = np.zeros((p, p))
+    upper = np.triu(upper * gen.choice((-1.0, 1.0), size=(p, p)), k=1)
+    corr = upper + upper.T
+    if asymmetric:
+        corr += np.tril(gen.choice((-0.5e-8, 0.0, 0.5e-8), size=(p, p)), k=-1)
+        corr += np.diag(gen.choice((-0.5e-9, 0.0, 0.5e-9), size=p))
+    corr += np.eye(p)
+    return corr, tuple(taus), draw(st.sampled_from((1, 3, 8, graph_module._TILE)))
+
+
+class TestOnePassSweepMatchesRebuild:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(sweep_inputs())
+    def test_matches_per_tau_rebuild(self, case):
+        corr, taus, tile = case
+        config = CtConfig(thresholds=taus, selection="none")
+        with mock.patch.object(graph_module, "_TILE", tile):
+            result = ct_run(corr, 100, config)
+        cliques_at, ref_candidates, ref_skipped = per_tau_sweep(corr, config.thresholds)
+        assert result.skipped_taus == ref_skipped
+        assert [(c.structure, c.tau_values) for c in result.candidates] == ref_candidates
+        owner = {t: c for c in result.candidates for t in c.tau_values}
+        p = corr.shape[0]
+        for tau, cliques in zip(config.thresholds, cliques_at):
+            expected = sorted(sorted(c) for c in cliques.cliques)
+            found = sorted(sorted(c) for c in owner[tau].structure.child_sets()) if tau in owner else []
+            assert found == expected
+            if p <= BRUTE_FORCE_MAX_VERTICES:
+                brute = brute_force_independent_cliques(build_graph(corr, tau))
+                assert cliques.cliques == brute.cliques
+                assert cliques.unique_members == brute.unique_members
 
 
 @pytest.fixture(scope="module")

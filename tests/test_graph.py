@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
+import ctfactor.graph as graph_module
 from ctfactor import (
     EmptyCliqueSet,
     TooLarge,
-    brute_force_independent_cliques,
     build_graph,
     independent_maximal_cliques,
-    is_clique,
-    neighborhood,
     structure_from_cliques,
 )
 from ctfactor.errors import DimensionMismatch, DomainError
 from ctfactor.numerics import RngState
+from oracles import brute_force_independent_cliques, is_clique, neighborhood
 
 
 def graph_from_edges(p, edges, weight=0.5, tau=0.25):
@@ -42,6 +41,10 @@ class TestBuildGraph:
     def test_rejects_bad_diagonal(self):
         with pytest.raises(DomainError):
             build_graph(np.array([[2.0, 0.1], [0.1, 1.0]]), 0.2)
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch):
+            build_graph(np.zeros((0, 0)), 0.2)
 
     def test_rejects_tau_outside_unit(self):
         with pytest.raises(DomainError):
@@ -76,6 +79,26 @@ class TestNeighborhoodAndClique:
         assert not is_clique(g, [0, 1, 2, 3])
         assert is_clique(g, [3])
         assert is_clique(g, [])
+
+
+class TestTiledTranspose:
+    """The symmetry check and ``|r|`` symmetrisation run tile by tile."""
+
+    @pytest.mark.parametrize("p", [1, 127, 128, 129, 300])
+    def test_symmetric_abs_matches_whole_matrix(self, p):
+        a = np.random.default_rng(p).uniform(-1.0, 1.0, (p, p))
+        whole = np.maximum(np.abs(a), np.abs(a).T)
+        np.testing.assert_array_equal(graph_module._symmetric_abs(a), whole)
+
+    @pytest.mark.parametrize("i, j", [(0, 299), (299, 0), (130, 129), (255, 256), (299, 298)])
+    def test_asymmetry_found_in_every_tile(self, i, j):
+        corr = np.eye(300)
+        corr[i, j] = 0.3 + 2e-8
+        corr[j, i] = 0.3
+        with pytest.raises(DimensionMismatch):
+            build_graph(corr, 0.5)
+        corr[i, j] = 0.3 + 0.5e-8
+        assert build_graph(corr, 0.3).edges() == [(min(i, j), max(i, j))]
 
 
 class TestIndependentMaximalCliques:
