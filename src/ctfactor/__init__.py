@@ -32,7 +32,6 @@ from .estimate import (
     count_free_params,
     fit_mle,
     gaussian_loglik,
-    kfold_test_loglik,
     pearson_correlation,
     sample_covariance,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "implied_correlation",
     "implied_covariance",
     "independent_maximal_cliques",
-    "kfold_test_loglik",
     "logdet_pd",
     "mvn_sample",
     "pearson_correlation",

@@ -53,11 +53,11 @@ from .simgen import (
     sample_dataset,
 )
 
-PRESET_NAMES = {
-    "highdim-250": 250,
-    "highdim-500": 500,
-    "highdim-1000": 1000,
-}
+#: ``--preset`` name -> key of ``HIGHDIM_PRESETS``.
+PRESET_NAMES = {f"highdim-{key}": key for key in HIGHDIM_PRESETS}
+
+#: ``--select`` value -> ``CtConfig.selection``.
+SELECTIONS = {"bic": "bic", "min-hd": "min-hd-oracle", "none": "none"}
 
 
 def _default_jobs():
@@ -120,7 +120,7 @@ def cmd_fit(args):
     truth = None
     if args.truth:
         truth = _load_structure(args.truth)
-    selection = {"bic": "bic", "min-hd": "min-hd-oracle", "none": "none"}[args.select]
+    selection = SELECTIONS[args.select]
     config = CtConfig(
         thresholds=tuple(taus), selection=selection, truth=truth, seed=args.seed
     )
@@ -375,7 +375,7 @@ def _finish_bench(command, config_doc, rows, out_json, out_csv):
 
 def cmd_bench_low(args):
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    selection = {"bic": "bic", "min-hd": "min-hd-oracle", "none": "none"}[args.select]
+    selection = SELECTIONS[args.select]
     if selection == "none":
         raise DomainError("bench needs a selection rule (bic or min-hd)")
     payloads = [
@@ -437,7 +437,7 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="sweep thresholds and select a structure")
     p_fit.add_argument("input", help="data CSV or correlation JSON")
     p_fit.add_argument("--thresholds", help="comma-separated taus (default: 40-point grid)")
-    p_fit.add_argument("--select", choices=["bic", "min-hd", "none"], default="bic")
+    p_fit.add_argument("--select", choices=list(SELECTIONS), default="bic")
     p_fit.add_argument("--truth", help="structure or model JSON for min-hd selection")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", help="output path (default: stdout)")

@@ -47,7 +47,6 @@ __all__ = [
     "count_free_params",
     "bic_value",
     "bic",
-    "kfold_test_loglik",
     "sample_covariance",
     "pearson_correlation",
 ]
@@ -445,46 +444,3 @@ def pearson_correlation(data):
     corr = cov / np.outer(sd, sd)
     np.fill_diagonal(corr, 1.0)
     return (corr + corr.T) / 2.0
-
-
-def kfold_test_loglik(data, structure, k_folds, options=None, rng=None, seed=0):
-    """Cross-validated held-out log-likelihood of a structure.
-
-    Rows are shuffled once and split into ``k_folds`` contiguous folds.
-    Each fold is scored by the Gaussian log density of its rows at the
-    model fitted on the remaining rows (held-out second moments are taken
-    about the training mean), and the fold scores are summed.
-    """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-D, got shape {arr.shape}")
-    n = arr.shape[0]
-    if not 2 <= k_folds <= n:
-        raise DomainError(f"k_folds must lie in [2, {n}], got {k_folds}")
-    options = options or FitOptions()
-    rng = rng or RngState(seed)
-    order = rng.generator.permutation(n)
-    folds = np.array_split(order, k_folds)
-    from .model import implied_covariance  # local to avoid cycles at import
-
-    total = 0.0
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        train = arr[mask]
-        test = arr[fold]
-        mu = train.mean(axis=0)
-        s_train = sample_covariance(train, ddof=1)
-        fit = fit_mle(
-            s_train,
-            train.shape[0],
-            structure,
-            options=options,
-            seed=int(rng.generator.integers(2**62)),
-        )
-        centered = test - mu
-        s_test = centered.T @ centered / test.shape[0]
-        total += gaussian_loglik(
-            implied_covariance(fit.theta), s_test, test.shape[0]
-        )
-    return float(total)

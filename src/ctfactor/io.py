@@ -6,7 +6,9 @@ by being entirely non-numeric.
 """
 
 import csv
+import itertools
 import json
+import os
 
 import numpy as np
 
@@ -34,7 +36,42 @@ def read_data_csv(path):
 
     Returns ``(data, header)`` where ``header`` is None when the first row
     is numeric. Malformed cells and ragged rows raise :class:`ParseError`.
+    The data rows go through numpy's C reader, which converts a cell with
+    the same routine as ``float()``; input it refuses, or with no data
+    rows, goes to the ``float()`` cell loop, which locates the bad cell.
     """
+    if not os.path.isfile(path):  # a pipe cannot be read a second time
+        return _read_cells(path)
+    with open(path, newline="") as fh:
+        first = next(filter(None, csv.reader(fh)), None)
+        header = None
+        if first and all(not _is_number(cell) for cell in first):
+            header = [cell.strip() for cell in first]
+        else:
+            fh.seek(0)
+        data = _parse_rows(fh)
+    if data is None:
+        return _read_cells(path)
+    if not np.all(np.isfinite(data)):
+        raise ParseError(f"{path}: non-finite values in data")
+    return data, header
+
+
+def _parse_rows(fh):
+    """The rows left in ``fh`` by ``np.loadtxt``, or None when it refuses
+    them or there are none (it would warn)."""
+    line = next((line for line in fh if line.strip("\r\n")), None)
+    if line is None:
+        return None
+    try:
+        return np.loadtxt(itertools.chain([line], fh), delimiter=",",
+                          comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_cells(path):
+    """The reference reader: ``csv.reader`` rows and ``float()`` per cell."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:

@@ -352,6 +352,27 @@ class TestExitCodes:
         assert "error:" in proc.stderr
 
 
+class TestCsvIngestErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no rows"),
+            ("X1,X2\n", "header but no data rows"),
+            ("X1,X2\n1.0,2.0\n3.0\n", "row 3 has 1 cells, expected 2"),
+            ("X1,X2\n1.0,2.0\n3.0,oops\n", "row 3, column 2: not a number: 'oops'"),
+            ("X1,X2\n1.0,nan\n3.0,nan\n4.0,nan\n", "non-finite values in data"),
+        ],
+        ids=["empty", "header-only", "ragged", "non-number", "nan-column"],
+    )
+    def test_fit_exits_2_with_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert cli.main(["fit", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+
+
 class TestCliDeterminism:
     def test_fit_output_bytes_stable(self, workspace, tmp_path, capsys):
         _, _, data = workspace

@@ -1,4 +1,4 @@
-"""Constrained maximum likelihood, BIC, and cross-validation."""
+"""Constrained maximum likelihood and BIC."""
 
 import math
 
@@ -21,7 +21,6 @@ from ctfactor.estimate import (
     _row_classes,
     _start_points,
     gaussian_loglik,
-    kfold_test_loglik,
     pearson_correlation,
     sample_covariance,
     saturated_loglik,
@@ -386,30 +385,3 @@ class TestSampleMoments:
         data[:, 0] = np.arange(10)
         with pytest.raises(ConstantColumn):
             pearson_correlation(data)
-
-
-class TestKfold:
-    def test_prefers_true_structure(self):
-        spec = cf.SimSpec(d=2, children_per_factor=4, n=600, seed=8, phi_scale=0.25)
-        theta = cf.gen_independent_cluster(spec)
-        data = cf.sample_dataset(theta, spec.n, data_rng(spec))
-        truth = theta.structure()
-        merged = Structure(
-            p=truth.p, d=1, support=frozenset((i, 0) for i in range(truth.p))
-        )
-        good = kfold_test_loglik(data, truth, 5, seed=1)
-        bad = kfold_test_loglik(data, merged, 5, seed=1)
-        assert good > bad
-
-    def test_deterministic(self):
-        spec = cf.SimSpec(d=2, children_per_factor=3, n=200, seed=2)
-        theta = cf.gen_independent_cluster(spec)
-        data = cf.sample_dataset(theta, spec.n, data_rng(spec))
-        s = theta.structure()
-        assert kfold_test_loglik(data, s, 4, seed=3) == kfold_test_loglik(data, s, 4, seed=3)
-
-    def test_bad_fold_count(self):
-        data = np.random.default_rng(0).standard_normal((10, 2))
-        s = Structure(p=2, d=1, support=frozenset({(0, 0), (1, 0)}))
-        with pytest.raises(DomainError):
-            kfold_test_loglik(data, s, 1)
