@@ -31,7 +31,6 @@ from .estimate import (
     bic_value,
     count_free_params,
     fit_mle,
-    gaussian_loglik,
     pearson_correlation,
     sample_covariance,
 )
@@ -58,7 +57,7 @@ from .model import (
     ucc_probability_bound,
     unique_children,
 )
-from .numerics import RngState, cholesky, logdet_pd, mvn_sample, solve_pd
+from .numerics import RngState, cholesky, logdet_pd, mvn_sample
 from .simgen import (
     HIGHDIM_PRESETS,
     SimSpec,
@@ -112,7 +111,6 @@ __all__ = [
     "default_thresholds",
     "edge_partition",
     "fit_mle",
-    "gaussian_loglik",
     "gen_independent_cluster",
     "gen_phi",
     "gen_random_bipartite",
@@ -128,7 +126,6 @@ __all__ = [
     "rotational_uniqueness_check",
     "sample_covariance",
     "sample_dataset",
-    "solve_pd",
     "structure_from_cliques",
     "thresholdability",
     "ucc_probability_bound",

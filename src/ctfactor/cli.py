@@ -114,7 +114,7 @@ def cmd_fit(args):
     corr, n = _load_matrix_input(args.input)
     taus = (
         _parse_thresholds(args.thresholds)
-        if args.thresholds
+        if args.thresholds is not None
         else default_thresholds()
     )
     truth = None

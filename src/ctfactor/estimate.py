@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     ConstantColumn,
@@ -41,7 +40,6 @@ from .numerics import RngState, as_sym_matrix, cholesky, logdet_pd
 __all__ = [
     "FitOptions",
     "FitResult",
-    "gaussian_loglik",
     "saturated_loglik",
     "fit_mle",
     "count_free_params",
@@ -99,30 +97,6 @@ class FitResult:
             }
         )
         return doc
-
-
-def gaussian_loglik(sigma_model, s_sample, n):
-    """Gaussian log-likelihood of a covariance model against a sample matrix.
-
-    ``-(n / 2) * (p * log(2 pi) + logdet(sigma) + trace(sigma^-1 @ s))``.
-    The sample matrix only needs to be symmetric; the model matrix must be
-    positive definite.
-    """
-    if n <= 0:
-        raise DomainError(f"n must be positive, got {n}")
-    sig = as_sym_matrix(sigma_model, name="sigma_model")
-    s = as_sym_matrix(s_sample, name="s_sample")
-    if sig.shape != s.shape:
-        raise DimensionMismatch(
-            f"shape mismatch: model {sig.shape} vs sample {s.shape}"
-        )
-    lower = cholesky(sig)
-    p = sig.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    half = solve_triangular(lower, s, lower=True)
-    solved = solve_triangular(lower.T, half, lower=False)
-    trace = float(np.trace(solved))
-    return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet + trace)
 
 
 def saturated_loglik(s_sample, n):

@@ -57,11 +57,6 @@ class ThresholdedGraph:
     def edge_count(self):
         return int(np.count_nonzero(self.adjacency)) // 2
 
-    def edges(self):
-        """Sorted list of (i, j) pairs with i < j."""
-        ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(a), int(b)) for a, b in zip(ii, jj)]
-
 
 @dataclass(frozen=True)
 class CliqueSet:

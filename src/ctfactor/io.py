@@ -8,6 +8,7 @@ by being entirely non-numeric.
 import csv
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -43,7 +44,7 @@ def read_data_csv(path):
     if not os.path.isfile(path):  # a pipe cannot be read a second time
         return _read_cells(path)
     with open(path, newline="") as fh:
-        first = next(filter(None, csv.reader(fh)), None)
+        first = next(_rows(path, fh), None)
         header = None
         if first and all(not _is_number(cell) for cell in first):
             header = [cell.strip() for cell in first]
@@ -55,6 +56,16 @@ def read_data_csv(path):
     if not np.all(np.isfinite(data)):
         raise ParseError(f"{path}: non-finite values in data")
     return data, header
+
+
+def _rows(path, fh):
+    """The non-empty ``csv.reader`` rows of ``fh``; a row the reader
+    refuses (such as a cell over its field size limit) is a ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_rows(fh):
@@ -73,7 +84,7 @@ def _parse_rows(fh):
 def _read_cells(path):
     """The reference reader: ``csv.reader`` rows and ``float()`` per cell."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = list(_rows(path, fh))
     if not rows:
         raise ParseError(f"{path}: no rows")
     header = None
@@ -138,29 +149,61 @@ def load_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, nl):
+    """JSON text of ``obj`` nested at newline-plus-indent ``nl``.
+
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)``
+    after numpy arrays and scalars become Python values and non-finite
+    floats become None, built with one ``str.join`` per container instead
+    of the stdlib's per-value generators (``indent`` turns its C encoder
+    off). Dict keys must be ``str``: ``_ESCAPE`` raises TypeError on others.
+    """
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):  # bool is an int: test it first
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return float.__repr__(value) if math.isfinite(value) else "null"
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return _encode(obj.tolist(), nl)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        if (set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {2}
+                and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
+            # [int, int] pairs, as in support arrays (most of the bytes)
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            body = sep.join([pair] * len(obj)) % tuple(itertools.chain.from_iterable(obj))
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [_ESCAPE(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def save_json(path, doc):
-    """Write a JSON document deterministically (sorted keys, no NaN)."""
-    text = json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
+    """Write ``dumps_json(doc)`` and a newline to ``path``."""
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(dumps_json(doc) + "\n")
 
 
 def dumps_json(doc):
-    return json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
+    """The one JSON form of every document: 2-space indent, sorted keys,
+    ASCII-escaped strings, and ``null`` for NaN and infinities."""
+    return _encode(doc, "\n")

@@ -194,7 +194,7 @@ class Structure:
         return {
             "p": self.p,
             "d": self.d,
-            "support": sorted([i, j] for i, j in self.support),
+            "support": sorted(self.support),  # (i, j) tuples: JSON arrays
         }
 
     @classmethod

@@ -20,7 +20,6 @@ __all__ = [
     "as_sym_matrix",
     "cholesky",
     "logdet_pd",
-    "solve_pd",
     "mvn_sample",
 ]
 
@@ -112,24 +111,6 @@ def logdet_pd(mat, tol=DEFAULT_PIVOT_TOL):
     """Log-determinant of a positive definite matrix via its Cholesky pivots."""
     lower = cholesky(mat, tol=tol)
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
-def solve_pd(mat, rhs, tol=DEFAULT_PIVOT_TOL):
-    """Solve ``mat @ x = rhs`` for positive definite ``mat``.
-
-    Uses forward/back substitution against the Cholesky factor. ``rhs`` may
-    be a vector or a matrix of stacked right-hand sides.
-    """
-    lower = cholesky(mat, tol=tol)
-    rhs_arr = np.asarray(rhs, dtype=float)
-    if rhs_arr.shape[0] != lower.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has leading dimension {rhs_arr.shape[0]}, expected {lower.shape[0]}"
-        )
-    from scipy.linalg import solve_triangular
-
-    half = solve_triangular(lower, rhs_arr, lower=True)
-    return solve_triangular(lower.T, half, lower=False)
 
 
 def mvn_sample(sigma, n, rng, tol=DEFAULT_PIVOT_TOL):

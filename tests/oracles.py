@@ -12,11 +12,22 @@ clique by Bron-Kerbosch with pivoting (Bron & Kerbosch 1973; Tomita et al.
 capped at 25 vertices. ``neighborhood`` and ``is_clique`` read a graph
 directly. ``per_tau_sweep`` rebuilds and searches the graph at every
 threshold, as the sweep did before it became one pass.
+
+Likelihood. ``gaussian_loglik`` evaluates the Gaussian log-likelihood of
+any positive definite model directly from its Cholesky factor; it checks
+the package's ``saturated_loglik`` and the likelihoods the fitter reports.
+
+JSON. ``dumps_json_reference`` is the stdlib encoder the package used
+before its own emitter: numpy values and non-finite floats converted by a
+copy of the whole document, then ``json.dumps`` with ``indent=2``.
 """
 
 import itertools
+import json
+import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import linear_sum_assignment
 
 from ctfactor import (
@@ -27,6 +38,7 @@ from ctfactor import (
     structure_from_cliques,
 )
 from ctfactor.errors import DimensionMismatch, DomainError, TooLarge
+from ctfactor.numerics import as_sym_matrix, cholesky
 
 #: Column-count guard for the brute-force permutation oracle.
 BRUTE_FORCE_MAX_COLUMNS = 8
@@ -206,3 +218,49 @@ def per_tau_sweep(corr, thresholds):
             candidates.append((structure, []))
         candidates[by_key[key]][1].append(float(tau))
     return cliques_at, [(s, tuple(t)) for s, t in candidates], tuple(skipped)
+
+
+def gaussian_loglik(sigma_model, s_sample, n):
+    """Gaussian log-likelihood of a covariance model against a sample matrix.
+
+    ``-(n / 2) * (p * log(2 pi) + logdet(sigma) + trace(sigma^-1 @ s))``.
+    The sample matrix only needs to be symmetric; the model matrix must be
+    positive definite.
+    """
+    if n <= 0:
+        raise DomainError(f"n must be positive, got {n}")
+    sig = as_sym_matrix(sigma_model, name="sigma_model")
+    s = as_sym_matrix(s_sample, name="s_sample")
+    if sig.shape != s.shape:
+        raise DimensionMismatch(
+            f"shape mismatch: model {sig.shape} vs sample {s.shape}"
+        )
+    lower = cholesky(sig)
+    p = sig.shape[0]
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    half = solve_triangular(lower, s, lower=True)
+    solved = solve_triangular(lower.T, half, lower=False)
+    trace = float(np.trace(solved))
+    return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet + trace)
+
+
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if np.isfinite(v) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def dumps_json_reference(doc):
+    """The text ``io.dumps_json`` must produce for ``doc``."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)

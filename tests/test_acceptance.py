@@ -25,7 +25,6 @@ from ctfactor import (
     ct_run,
     data_rng,
     fit_mle,
-    gaussian_loglik,
     gen_independent_cluster,
     gen_random_bipartite,
     gen_ucc_violation,
@@ -43,7 +42,7 @@ from ctfactor import (
     unique_children,
 )
 from ctfactor.io import save_json
-from oracles import brute_force_independent_cliques, brute_force_metric
+from oracles import brute_force_independent_cliques, brute_force_metric, gaussian_loglik
 
 TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
 

@@ -12,6 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from ctfactor import cli
 from ctfactor.io import save_json
+from oracles import dumps_json_reference
 
 
 def schema(name):
@@ -361,8 +362,10 @@ class TestCsvIngestErrors:
             ("X1,X2\n1.0,2.0\n3.0\n", "row 3 has 1 cells, expected 2"),
             ("X1,X2\n1.0,2.0\n3.0,oops\n", "row 3, column 2: not a number: 'oops'"),
             ("X1,X2\n1.0,nan\n3.0,nan\n4.0,nan\n", "non-finite values in data"),
+            ("a,b\n1,2\n" + "1" * 200001 + ",x\n",
+             "line 3: field larger than field limit (131072)"),
         ],
-        ids=["empty", "header-only", "ragged", "non-number", "nan-column"],
+        ids=["empty", "header-only", "ragged", "non-number", "nan-column", "oversized-cell"],
     )
     def test_fit_exits_2_with_message(self, tmp_path, capsys, text, message):
         path = tmp_path / "input.csv"
@@ -371,6 +374,50 @@ class TestCsvIngestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
+
+
+class TestFitEdgeCases:
+    def test_empty_threshold_list_is_2(self, workspace, capsys):
+        _, _, data = workspace
+        assert cli.main(["fit", str(data), "--thresholds", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no thresholds given\n"
+        assert captured.out == ""
+
+    def test_duplicate_thresholds_give_one_tau(self, workspace, capsys):
+        _, _, data = workspace
+        assert cli.main(["fit", str(data), "--thresholds", "0.3,0.3", "--select", "none"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        taus = [t for c in doc["candidates"] for t in c["tau_values"]] + doc["skipped_taus"]
+        assert taus == [0.3]
+
+    def test_one_variable_corr_json_with_bic(self, tmp_path, capsys):
+        src = tmp_path / "p1.json"
+        save_json(src, {"correlation": [[1.0]], "n": 10})
+        assert cli.main(["fit", str(src), "--select", "bic"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, "ct_result")
+        assert [c["flags"] for c in doc["candidates"]] == [["trivial"]]
+        assert doc["selected_index"] == 0
+        assert doc["candidates"][0]["structure"] == {"p": 1, "d": 1, "support": [[0, 0]]}
+
+
+class TestFitOutputMatchesStdlibEncoder:
+    @pytest.mark.parametrize("select", ["bic", "min-hd", "none"])
+    def test_written_bytes(self, workspace, tmp_path, capsys, monkeypatch, select):
+        _, model, data = workspace
+        docs = []
+        real_save = cli.save_json
+
+        def recording_save(path, doc):
+            docs.append(doc)
+            real_save(path, doc)
+
+        monkeypatch.setattr(cli, "save_json", recording_save)
+        out = tmp_path / "fit.json"
+        argv = ["fit", str(data), "--select", select, "--out", str(out)]
+        assert cli.main(argv + (["--truth", str(model)] if select == "min-hd" else [])) == 0
+        assert out.read_text() == dumps_json_reference(docs[0]) + "\n"
 
 
 class TestCliDeterminism:

@@ -20,7 +20,6 @@ from ctfactor.estimate import (
     _per_restart,
     _row_classes,
     _start_points,
-    gaussian_loglik,
     pearson_correlation,
     sample_covariance,
     saturated_loglik,
@@ -28,6 +27,7 @@ from ctfactor.estimate import (
 from ctfactor.model import implied_covariance
 from ctfactor.numerics import RngState, mvn_sample
 from ctfactor.simgen import data_rng
+from oracles import gaussian_loglik
 
 TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctfactor import io as io_module
 from ctfactor.errors import ParseError
@@ -23,6 +24,7 @@ from ctfactor.io import (
     write_data_csv,
 )
 from ctfactor.numerics import RngState
+from oracles import dumps_json_reference
 
 
 class TestDataCsv:
@@ -283,3 +285,56 @@ class TestDeterministicJson:
         path = tmp_path / "nl.json"
         save_json(path, {"a": 1})
         assert path.read_bytes().endswith(b"\n")
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1, 2}, 1j, b"x", np.complex128(1), {1: "a"}, {"a": 1, 2: "b"}],
+        ids=["object", "set", "complex", "bytes", "numpy-complex", "int-key", "mixed-keys"],
+    )
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps_json({"nested": [value]})
+
+
+INTS = st.integers(-(2**70), 2**70)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    INTS,
+    FLOATS,
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 1e16, 0.1, True, 1, False, 0]),
+    st.text(),  # non-ASCII and control characters included
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+PAIR_LISTS = st.lists(
+    st.one_of(st.tuples(INTS, INTS), st.lists(INTS, min_size=2, max_size=2)), max_size=6
+)
+NEAR_MISS_PAIRS = st.sampled_from([
+    [[1, 2.0]], [[True, 1]], [[1, 2, 3]], [[1]], [[1, 2], 3], [[1, 2], [3, None]],
+    [[1, np.int64(2)]], [(1, 2), [3, 4], (5, 6.5)], [[1, 2], [[3, 4], [5, 6]]], [[], []],
+])
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, ARRAYS, PAIR_LISTS, NEAR_MISS_PAIRS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestEmitterMatchesStdlib:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(DOCUMENTS)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert dumps_json(doc) == dumps_json_reference(doc)

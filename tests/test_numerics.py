@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctfactor import NotPositiveDefinite, RngState, cholesky, logdet_pd, mvn_sample, solve_pd
+from ctfactor import NotPositiveDefinite, RngState, cholesky, logdet_pd, mvn_sample
 from ctfactor.errors import DimensionMismatch, DomainError
 from ctfactor.numerics import as_sym_matrix
 
@@ -75,33 +75,6 @@ class TestCholesky:
 class TestLogdetSolve:
     def test_logdet_diagonal(self):
         assert logdet_pd(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), abs=1e-12)
-
-    def test_solve_diagonal(self):
-        x = solve_pd(np.diag([2.0, 4.0]), np.eye(2))
-        assert np.allclose(x, np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_solve_matches_explicit_inverse(self):
-        # dim-5 PD system against the adjugate-style inverse from numpy
-        gen = RngState(11).generator
-        base = gen.standard_normal((5, 5))
-        mat = base @ base.T + 5 * np.eye(5)
-        rhs = gen.standard_normal((5, 3))
-        assert np.abs(solve_pd(mat, rhs) - np.linalg.inv(mat) @ rhs).max() <= 1e-8
-
-    def test_solve_self_is_identity(self):
-        gen = RngState(12).generator
-        base = gen.standard_normal((4, 4))
-        mat = base @ base.T + 4 * np.eye(4)
-        assert np.abs(solve_pd(mat, mat) - np.eye(4)).max() <= 1e-8
-
-    def test_residual_small(self):
-        gen = RngState(13).generator
-        base = gen.standard_normal((7, 7))
-        mat = base @ base.T + 7 * np.eye(7)
-        rhs = gen.standard_normal(7)
-        x = solve_pd(mat, rhs)
-        rel = np.abs(mat @ x - rhs).max() / np.abs(rhs).max()
-        assert rel <= 1e-8
 
 
 class TestMvnSample:
