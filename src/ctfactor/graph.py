@@ -195,6 +195,9 @@ def structure_from_cliques(clique_set):
     """Turn cliques into a loading support: one factor per clique.
 
     Vertices in no clique become zero rows (pure noise variables).
+    ``clique_set`` comes from :func:`independent_maximal_cliques`: its
+    cliques are non-empty sets of ``int`` vertices below ``p``, so the
+    structure is built without the checks that outside input gets.
 
     Raises
     ------
@@ -203,8 +206,7 @@ def structure_from_cliques(clique_set):
     """
     if len(clique_set.cliques) == 0:
         raise EmptyCliqueSet("no independent maximal cliques to map to a structure")
-    support = set()
-    for k, clique in enumerate(clique_set.cliques):
-        for i in clique:
-            support.add((i, k))
-    return Structure(p=clique_set.p, d=len(clique_set.cliques), support=frozenset(support))
+    support = frozenset(
+        (i, k) for k, clique in enumerate(clique_set.cliques) for i in clique
+    )
+    return Structure._unchecked(clique_set.p, len(clique_set.cliques), support)

@@ -2,7 +2,8 @@
 
 CSV values are written with ``repr`` so finite decimals survive a
 read/write/read round trip with identical bits. A header row is detected
-by being entirely non-numeric.
+by being entirely non-numeric. JSON input must be UTF-8; correlation
+documents are decoded by orjson, other documents by the stdlib.
 """
 
 import csv
@@ -12,6 +13,7 @@ import math
 import os
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 
@@ -125,15 +127,32 @@ def write_data_csv(path, data, header=True):
 
 
 def read_corr_json(path):
-    """Read ``{"correlation": [[...]], "n": int}``; returns ``(corr, n)``."""
-    doc = load_json(path)
+    """Read ``{"correlation": [[...]], "n": int}``; returns ``(corr, n)``.
+
+    The file is read once and its bytes decoded by orjson. A document
+    orjson refuses (``NaN`` and ``Infinity`` tokens, numbers beyond the
+    double range, lone surrogates, invalid UTF-8), or whose ``n`` it does
+    not give as an int (it turns integers outside 64 bits into floats), is
+    decoded again from the same bytes by :func:`load_json`'s stdlib
+    decoder. The matrices, ``n`` and errors are those of the stdlib alone.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+        doc = _loads(path, raw)
     if not isinstance(doc, dict) or "correlation" not in doc or "n" not in doc:
         raise ParseError(f"{path}: expected keys 'correlation' and 'n'")
     try:
         corr = np.asarray(doc["correlation"], dtype=float)
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    n = doc["n"]
+    if type(n) is not int:  # bool is an int subclass
+        raise ParseError(f"{path}: n must be an integer, got {n!r}")
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ParseError(f"{path}: correlation must be a square matrix")
     if n < 1:
@@ -142,9 +161,21 @@ def read_corr_json(path):
 
 
 def load_json(path):
+    """The JSON document in ``path``, decoded as UTF-8 by the stdlib."""
+    with open(path, "rb") as fh:
+        return _loads(path, fh.read())
+
+
+def _loads(path, raw):
+    """Stdlib ``json`` on ``raw`` as UTF-8 text (RFC 8259). Line ends are
+    translated as a text-mode read translates them, so error positions
+    count characters as they did when files were read as text."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8: {exc}") from None
+    try:
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 

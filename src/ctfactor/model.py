@@ -161,6 +161,15 @@ class Structure:
         object.__setattr__(self, "support", pairs)
 
     @classmethod
+    def _unchecked(cls, p, d, support):
+        """A structure whose ``support`` is a frozenset of ``(int, int)``
+        pairs already known to lie in range and to use every factor; the
+        checks of ``__post_init__`` are skipped."""
+        structure = object.__new__(cls)
+        structure.__dict__.update(p=p, d=d, support=support)
+        return structure
+
+    @classmethod
     def from_loadings(cls, loadings):
         lam = np.asarray(loadings, dtype=float)
         pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(lam)))

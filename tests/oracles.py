@@ -20,6 +20,9 @@ the package's ``saturated_loglik`` and the likelihoods the fitter reports.
 JSON. ``dumps_json_reference`` is the stdlib encoder the package used
 before its own emitter: numpy values and non-finite floats converted by a
 copy of the whole document, then ``json.dumps`` with ``indent=2``.
+``read_corr_json_reference`` is the correlation reader before orjson: the
+stdlib decoder on a text-mode UTF-8 read, with the package's rules for
+``n`` and for the matrix.
 """
 
 import itertools
@@ -37,7 +40,7 @@ from ctfactor import (
     independent_maximal_cliques,
     structure_from_cliques,
 )
-from ctfactor.errors import DimensionMismatch, DomainError, TooLarge
+from ctfactor.errors import DimensionMismatch, DomainError, ParseError, TooLarge
 from ctfactor.numerics import as_sym_matrix, cholesky
 
 #: Column-count guard for the brute-force permutation oracle.
@@ -264,3 +267,29 @@ def _plain(obj):
 def dumps_json_reference(doc):
     """The text ``io.dumps_json`` must produce for ``doc``."""
     return json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def read_corr_json_reference(path):
+    """``(corr, n)`` of a correlation JSON, or the ParseError the package's
+    ``read_corr_json`` must raise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "correlation" not in doc or "n" not in doc:
+        raise ParseError(f"{path}: expected keys 'correlation' and 'n'")
+    try:
+        corr = np.asarray(doc["correlation"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"{path}: n must be an integer, got {n!r}")
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+        raise ParseError(f"{path}: correlation must be a square matrix")
+    if n < 1:
+        raise ParseError(f"{path}: n must be >= 1, got {n}")
+    return corr, n

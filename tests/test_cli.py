@@ -401,6 +401,51 @@ class TestFitEdgeCases:
         assert doc["selected_index"] == 0
         assert doc["candidates"][0]["structure"] == {"p": 1, "d": 1, "support": [[0, 0]]}
 
+    @pytest.mark.parametrize(
+        "token, shown",
+        [("2000.5", "2000.5"), ("2000.0", "2000.0"), ("true", "True"), ('"7"', "'7'"),
+         ("1e400", "inf"), ("null", "None")],
+        ids=["fraction", "float", "bool", "string", "overflow", "null"],
+    )
+    def test_non_integer_n_is_2(self, tmp_path, capsys, token, shown):
+        src = tmp_path / "corr.json"
+        src.write_text('{"correlation": [[1.0, 0.5], [0.5, 1.0]], "n": %s}' % token)
+        assert cli.main(["fit", str(src), "--select", "none"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {src}: n must be an integer, got {shown}\n"
+        assert captured.out == ""
+
+    def test_integer_n_beyond_64_bits_kept(self, tmp_path, capsys):
+        src = tmp_path / "corr.json"
+        src.write_text('{"correlation": [[1.0, 0.5], [0.5, 1.0]], "n": %d}' % 2**70)
+        assert cli.main(["fit", str(src), "--select", "none"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2**70
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 in any JSON input exits 2 with its position."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"note": "caf\xe9"}')
+        return path
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fit", "{bad}"], ["fit", "{data}", "--select", "min-hd", "--truth", "{bad}"],
+         ["evaluate", "{bad}", "{model}"], ["check", "{bad}"], ["cliques", "{bad}", "--tau", "0.5"]],
+        ids=["corr", "truth", "evaluate", "check", "cliques"],
+    )
+    def test_exit_2_with_message(self, workspace, bad, capsys, command):
+        _, model, data = workspace
+        argv = [arg.format(bad=bad, data=data, model=model) for arg in command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 13: invalid continuation byte\n"
+        )
+
 
 class TestFitOutputMatchesStdlibEncoder:
     @pytest.mark.parametrize("select", ["bic", "min-hd", "none"])

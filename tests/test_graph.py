@@ -6,6 +6,7 @@ import pytest
 import ctfactor.graph as graph_module
 from ctfactor import (
     EmptyCliqueSet,
+    Structure,
     TooLarge,
     build_graph,
     independent_maximal_cliques,
@@ -190,6 +191,24 @@ class TestStructureFromCliques:
         s = structure_from_cliques(independent_maximal_cliques(g))
         assert s.zero_rows() == []
         assert s.parent_sets()[2] == frozenset({0, 1})
+
+    def test_passes_the_checked_constructor(self):
+        # built without Structure's checks: the same value they would give
+        gen = RngState(204).generator
+        for _ in range(100):
+            p = int(gen.integers(1, 30))
+            corr = np.zeros((p, p))
+            iu = np.triu_indices(p, k=1)
+            corr[iu] = (gen.random(iu[0].size) < gen.random()) * 0.5
+            corr = corr + corr.T
+            np.fill_diagonal(corr, 1.0)
+            cliques = independent_maximal_cliques(build_graph(corr, 0.25))
+            if len(cliques) == 0:
+                continue
+            s = structure_from_cliques(cliques)
+            assert s == Structure(p=s.p, d=s.d, support=s.support)
+            assert isinstance(s.support, frozenset)
+            assert {type(v) for pair in s.support for v in pair} == {int}
 
     def test_empty_raises(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

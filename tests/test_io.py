@@ -24,7 +24,7 @@ from ctfactor.io import (
     write_data_csv,
 )
 from ctfactor.numerics import RngState
-from oracles import dumps_json_reference
+from oracles import dumps_json_reference, read_corr_json_reference
 
 
 class TestDataCsv:
@@ -259,6 +259,148 @@ class TestCorrJson:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+    @pytest.mark.parametrize("reader", [load_json, read_corr_json])
+    def test_invalid_utf8_rejected(self, tmp_path, reader):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"correlation": [[1.0]], "n": 5, "note": "\xff"}')
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == (
+            f"{path}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 42: invalid start byte"
+        )
+
+    @pytest.mark.parametrize("reader", [load_json, read_corr_json])
+    def test_bom_message_kept(self, tmp_path, reader):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"correlation": [[1.0]], "n": 5}')
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == (
+            f"{path}: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
+
+    def test_clean_document_skips_stdlib(self, tmp_path):
+        path = tmp_path / "corr.json"
+        path.write_text('{"correlation": [[1.0, -0.0], [-0.0, 1]], "n": 9223372036854775807}')
+        with mock.patch.object(io_module, "_loads", wraps=io_module._loads) as stdlib:
+            corr, n = read_corr_json(path)
+        assert not stdlib.called
+        assert n == 2**63 - 1
+        assert corr.tobytes() == np.array([[1.0, -0.0], [-0.0, 1.0]]).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text, n",
+        [('{"correlation": [[1.0]], "n": 5}', 5), ('{"correlation": [[NaN]], "n": 1e2}', None)],
+        ids=["orjson", "stdlib-fallback"],
+    )
+    def test_pipe_read_once(self, tmp_path, text, n):
+        pipe = tmp_path / "pipe.json"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        if n is None:  # the stdlib decodes the bytes already read: NaN, then n
+            with pytest.raises(ParseError, match="n must be an integer, got 100.0$"):
+                read_corr_json(pipe)
+        else:
+            corr, got = read_corr_json(pipe)
+            assert got == n and corr.tolist() == [[1.0]]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+#: Number tokens: full-``repr`` and 6-decimal floats, integers either side
+#: of the 64-bit limits, and tokens orjson refuses or reads differently.
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1, 1).map(lambda x: f"{x:.6f}"),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(2**63 - 2, 2**64 + 2).flatmap(lambda v: st.sampled_from([str(v), str(-v)])),
+    st.sampled_from([
+        "-0.0", "-0", "5e-324", "2.4703282292062328e-324", "1e-400", "1E5", "1.5e+3",
+        "1.7976931348623157e308", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+        str(10**400), str(2**1024 - 2**971), str(2**1024 - 2**970),
+    ]),
+)
+#: Cells that are not numbers, and n values that are not integers.
+OTHER_TOKENS = st.sampled_from(
+    ["true", "false", "null", '"7"', '"1.5"', "[]", "[1]", "{}", '"\\ud800"', "2000.5", "2000.0"]
+)
+#: Strings for extra keys and values: non-ASCII, escapes, lone surrogates.
+STRING_TOKENS = st.one_of(
+    st.text(max_size=5).map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.text(max_size=5).map(json.dumps),
+    st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\u00e9"', '"caf\u00e9"']),
+)
+SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\t", "\r"])
+#: Valid sample sizes, drawn often enough that most documents are read.
+INT_N_TOKENS = st.integers(1, 5000).map(str)
+
+
+def one_in(k):
+    """True with probability ``1 / k`` (``st.integers`` would favour 0)."""
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+@st.composite
+def corr_documents(draw):
+    """Bytes of a correlation JSON, well formed or broken in one of the
+    ways readers meet: odd numbers, a non-integer ``n``, missing, extra
+    and repeated keys, ragged rows, a BOM, invalid UTF-8, truncation."""
+    size = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    cell = st.one_of(NUMBER_TOKENS, OTHER_TOKENS) if draw(one_in(5)) else NUMBER_TOKENS
+    rows = []
+    for _ in range(size):
+        width = size + (draw(st.sampled_from([-1, 1])) if draw(one_in(10)) else 0)
+        rows.append("[" + ", ".join(draw(st.lists(cell, min_size=width, max_size=width))) + "]")
+    pad = draw(SPACES)
+    items = [('"correlation"', "[" + ("," + pad).join(rows) + "]")]
+    items.append(('"n"', draw(st.one_of(INT_N_TOKENS, INT_N_TOKENS, NUMBER_TOKENS, OTHER_TOKENS))))
+    for _ in range(draw(st.integers(0, 2))):
+        items.append((draw(STRING_TOKENS), draw(st.one_of(STRING_TOKENS, NUMBER_TOKENS))))
+    change = draw(st.sampled_from(["none"] * 8 + ["drop", "repeat"]))
+    if change == "drop":
+        items.pop(draw(st.integers(0, 1)))
+    elif change == "repeat":
+        items.append(('"n"', draw(st.one_of(INT_N_TOKENS, NUMBER_TOKENS, OTHER_TOKENS))))
+    items = draw(st.permutations(items))
+    text = "{" + pad + ("," + pad).join(f"{k}:{draw(SPACES)}{v}" for k, v in items) + pad + "}"
+    if draw(one_in(20)):
+        text = draw(st.sampled_from(["[]", "null", "1", text + "}", text[:-1]]))
+    raw = text.encode("utf-8", "surrogatepass")
+    damage = draw(st.sampled_from(["none"] * 12 + ["bom", "xff", "bad-pair", "cut"]))
+    at = draw(st.integers(0, len(raw)))
+    if damage == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif damage in ("xff", "bad-pair"):
+        raw = raw[:at] + (b"\xff" if damage == "xff" else b"\xc3\x28") + raw[at:]
+    elif damage == "cut":
+        raw = raw[:at]
+    return raw
+
+
+def corr_outcome(reader, path):
+    try:
+        corr, n = reader(path)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("ok", corr.shape, corr.dtype.str, corr.tobytes(), type(n), n)
+
+
+class TestCorrJsonMatchesStdlib:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(corr_documents())
+    def test_same_matrix_n_or_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corr.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            assert corr_outcome(read_corr_json, path) == corr_outcome(
+                read_corr_json_reference, path)
 
 
 class TestDeterministicJson:

@@ -104,6 +104,25 @@ class TestStructure:
         with pytest.raises(DomainError):
             Structure(p=3, d=2, support=frozenset({(0, 0), (1, 0)}))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"p": 2, "d": 1, "support": [[2, 0]]}, {"p": 2, "d": 1, "support": [[0, -1]]},
+         {"p": 3, "d": 2, "support": [[0, 0], [1, 0]]}, {"p": 0, "d": 1, "support": []}],
+        ids=["row-out-of-range", "negative-column", "empty-factor", "no-variables"],
+    )
+    def test_json_document_checked(self, doc):
+        with pytest.raises(DomainError):
+            Structure.from_json_dict(doc)
+
+    def test_loadings_with_empty_column_rejected(self):
+        with pytest.raises(DomainError):
+            Structure.from_loadings(np.array([[0.5, 0.0], [0.7, 0.0]]))
+
+    def test_numpy_pairs_become_ints(self):
+        s = Structure(p=2, d=1, support=frozenset({(np.int64(1), np.int32(0))}))
+        assert s.support == frozenset({(1, 0)})
+        assert {type(v) for pair in s.support for v in pair} == {int}
+
     def test_canonical_key_ignores_column_order(self):
         a = Structure(p=3, d=2, support=frozenset({(0, 0), (1, 1), (2, 1)}))
         b = Structure(p=3, d=2, support=frozenset({(0, 1), (1, 0), (2, 0)}))
