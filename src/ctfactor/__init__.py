@@ -22,12 +22,10 @@ from .errors import (
     NonPDSampleWarning,
     NotPositiveDefinite,
     ParseError,
-    TooLarge,
 )
 from .estimate import (
     FitOptions,
     FitResult,
-    bic,
     bic_value,
     count_free_params,
     fit_mle,
@@ -43,18 +41,14 @@ from .graph import (
 )
 from .metrics import MetricReport, hamming_distance
 from .model import (
-    EdgePartition,
     FactorParams,
     Structure,
     ThresholdabilityReport,
     consistency_bound,
-    edge_partition,
-    general_sufficient_check,
     implied_correlation,
     implied_covariance,
     rotational_uniqueness_check,
     thresholdability,
-    ucc_probability_bound,
     unique_children,
 )
 from .numerics import RngState, cholesky, logdet_pd, mvn_sample
@@ -64,7 +58,6 @@ from .simgen import (
     data_rng,
     gen_independent_cluster,
     gen_phi,
-    gen_random_bipartite,
     gen_ucc_violation,
     sample_dataset,
 )
@@ -80,7 +73,6 @@ __all__ = [
     "CtResult",
     "DimensionMismatch",
     "DomainError",
-    "EdgePartition",
     "EmptyCliqueSet",
     "FactorParams",
     "FitOptions",
@@ -99,8 +91,6 @@ __all__ = [
     "Structure",
     "ThresholdabilityReport",
     "ThresholdedGraph",
-    "TooLarge",
-    "bic",
     "bic_value",
     "build_graph",
     "cholesky",
@@ -109,13 +99,10 @@ __all__ = [
     "ct_run",
     "data_rng",
     "default_thresholds",
-    "edge_partition",
     "fit_mle",
     "gen_independent_cluster",
     "gen_phi",
-    "gen_random_bipartite",
     "gen_ucc_violation",
-    "general_sufficient_check",
     "hamming_distance",
     "implied_correlation",
     "implied_covariance",
@@ -128,6 +115,5 @@ __all__ = [
     "sample_dataset",
     "structure_from_cliques",
     "thresholdability",
-    "ucc_probability_bound",
     "unique_children",
 ]

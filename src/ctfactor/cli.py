@@ -15,7 +15,6 @@ CSV for downstream tools.
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .ct import CtConfig, ct_run, default_thresholds
 from .errors import CtFactorError, DomainError
-from .estimate import FitOptions, pearson_correlation
+from .estimate import pearson_correlation
 from .graph import build_graph, independent_maximal_cliques
 from .io import (
     dumps_json,
@@ -38,12 +37,10 @@ from .model import (
     FactorParams,
     Structure,
     consistency_bound,
-    general_sufficient_check,
     rotational_uniqueness_check,
     thresholdability,
     unique_children,
 )
-from .numerics import RngState
 from .simgen import (
     HIGHDIM_PRESETS,
     SimSpec,
@@ -58,17 +55,6 @@ PRESET_NAMES = {f"highdim-{key}": key for key in HIGHDIM_PRESETS}
 
 #: ``--select`` value -> ``CtConfig.selection``.
 SELECTIONS = {"bic": "bic", "min-hd": "min-hd-oracle", "none": "none"}
-
-
-def _default_jobs():
-    raw = os.environ.get("CT_FACTOR_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise DomainError(f"CT_FACTOR_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise DomainError(f"CT_FACTOR_JOBS must be >= 1, got {jobs}")
-    return jobs
 
 
 def _parse_thresholds(text):
@@ -132,25 +118,34 @@ def cmd_fit(args):
     return 0
 
 
+def _preset_shape(preset):
+    """``SimSpec`` fields ``d``, ``children_per_factor`` and ``n`` of a
+    ``--preset`` name."""
+    n, p, d = HIGHDIM_PRESETS[PRESET_NAMES[preset]]
+    return {"d": d, "children_per_factor": p // d, "n": n}
+
+
+def _simulated_model(spec):
+    """The model of ``spec``: unique children broken when ``ucc_fraction > 0``,
+    an independent-cluster model otherwise."""
+    if spec.ucc_fraction > 0:
+        return gen_ucc_violation(spec)
+    return gen_independent_cluster(spec)
+
+
 def cmd_simulate(args):
     if args.preset:
-        n, p, d = HIGHDIM_PRESETS[PRESET_NAMES[args.preset]]
-        children = p // d
+        shape = _preset_shape(args.preset)
     else:
-        d, children, n = args.d, args.children, args.n
+        shape = {"d": args.d, "children_per_factor": args.children, "n": args.n}
     spec = SimSpec(
-        d=d,
-        children_per_factor=children,
-        n=n,
+        **shape,
         seed=args.seed,
         phi_scale=args.phi_scale,
         lambda_range=(args.lambda_lo, args.lambda_hi),
         ucc_fraction=args.ucc_violation,
     )
-    if spec.ucc_fraction > 0:
-        theta = gen_ucc_violation(spec)
-    else:
-        theta = gen_independent_cluster(spec)
+    theta = _simulated_model(spec)
     data = sample_dataset(theta, spec.n, data_rng(spec))
     save_json(args.out_model, theta.to_json_dict())
     write_data_csv(args.out_data, data)
@@ -195,7 +190,6 @@ def cmd_cliques(args):
 def cmd_check(args):
     theta = FactorParams.from_json_dict(load_json(args.model))
     report = thresholdability(theta)
-    sufficient = general_sufficient_check(theta)
     structure = theta.structure()
     unique, ucc_holds = unique_children(structure)
     rotation = rotational_uniqueness_check(theta.loadings)
@@ -218,8 +212,6 @@ def cmd_check(args):
         "p": theta.p,
         "d": theta.d,
         "thresholdability": report.to_json_dict(),
-        "general_sufficient": sufficient,
-        "routes_agree": sufficient == report.thresholdable,
         "unique_children": {
             "per_factor": [sorted(u) for u in unique],
             "ucc_holds": ucc_holds,
@@ -261,69 +253,43 @@ def _metric_row(rep, seed, result, truth, wall_s):
     }
 
 
-def _bench_low_replicate(payload):
+def _bench_replicate(payload):
+    """One replicate: simulate ``payload["spec"]`` at seed ``base_seed +
+    replicate``, run the sweep with ``payload["selection"]`` and score it."""
     rep = payload["replicate"]
     seed = payload["base_seed"] + rep
     t0 = time.perf_counter()
     try:
-        spec = SimSpec(
-            d=payload["d"],
-            children_per_factor=payload["children"],
-            n=payload["n"],
-            seed=seed,
-            phi_scale=payload["phi_scale"],
-            lambda_range=tuple(payload["lambda_range"]),
-        )
-        theta = gen_independent_cluster(spec)
+        spec = SimSpec(seed=seed, **payload["spec"])
+        theta = _simulated_model(spec)
         truth = theta.structure()
         data = sample_dataset(theta, spec.n, data_rng(spec))
-        corr = pearson_correlation(data)
+        selection = payload["selection"]
         config = CtConfig(
-            selection=payload["selection"],
-            truth=truth if payload["selection"] == "min-hd-oracle" else None,
+            selection=selection,
+            truth=truth if selection == "min-hd-oracle" else None,
             seed=seed,
         )
-        result = ct_run(corr, spec.n, config)
+        result = ct_run(pearson_correlation(data), spec.n, config)
         return _metric_row(rep, seed, result, truth, time.perf_counter() - t0)
     except Exception as exc:
         return {"replicate": rep, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _bench_high_replicate(payload):
-    rep = payload["replicate"]
-    seed = payload["base_seed"] + rep
-    t0 = time.perf_counter()
-    try:
-        n, p, d = HIGHDIM_PRESETS[payload["preset"]]
-        spec = SimSpec(
-            d=d,
-            children_per_factor=p // d,
-            n=n,
-            seed=seed,
-            phi_scale=0.75 if payload["violation"] == "thresh" else 0.0,
-            ucc_fraction=0.75 if payload["violation"] == "ucc" else 0.0,
-        )
-        if payload["violation"] == "ucc":
-            theta = gen_ucc_violation(spec)
-        else:
-            theta = gen_independent_cluster(spec)
-        truth = theta.structure()
-        data = sample_dataset(theta, spec.n, data_rng(spec))
-        corr = pearson_correlation(data)
-        config = CtConfig(selection="min-hd-oracle", truth=truth, seed=seed)
-        result = ct_run(corr, spec.n, config)
-        return _metric_row(rep, seed, result, truth, time.perf_counter() - t0)
-    except Exception as exc:
-        return {"replicate": rep, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _run_replicates(worker, payloads, jobs):
-    if jobs <= 1:
-        return [worker(p) for p in payloads]
+def _run_replicates(args, spec, selection):
+    """Rows of ``args.reps`` replicates, on ``args.jobs`` worker processes."""
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    payloads = [
+        {"replicate": r, "base_seed": args.seed, "spec": spec, "selection": selection}
+        for r in range(args.reps)
+    ]
+    if args.jobs == 1:
+        return [_bench_replicate(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        return list(pool.map(_bench_replicate, payloads))
 
 
 OUTCOME_KEYS = ("f1", "hd", "d_hat", "d_abs_rel_err", "models_evaluated")
@@ -374,24 +340,17 @@ def _finish_bench(command, config_doc, rows, out_json, out_csv):
 
 
 def cmd_bench_low(args):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     selection = SELECTIONS[args.select]
     if selection == "none":
         raise DomainError("bench needs a selection rule (bic or min-hd)")
-    payloads = [
-        {
-            "replicate": r,
-            "base_seed": args.seed,
-            "d": args.d,
-            "children": args.children,
-            "n": args.n,
-            "phi_scale": args.phi_scale,
-            "lambda_range": (args.lambda_lo, args.lambda_hi),
-            "selection": selection,
-        }
-        for r in range(args.reps)
-    ]
-    rows = _run_replicates(_bench_low_replicate, payloads, jobs)
+    spec = {
+        "d": args.d,
+        "children_per_factor": args.children,
+        "n": args.n,
+        "phi_scale": args.phi_scale,
+        "lambda_range": (args.lambda_lo, args.lambda_hi),
+    }
+    rows = _run_replicates(args, spec, selection)
     config_doc = {
         "d": args.d,
         "children": args.children,
@@ -406,17 +365,12 @@ def cmd_bench_low(args):
 
 
 def cmd_bench_high(args):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    payloads = [
-        {
-            "replicate": r,
-            "base_seed": args.seed,
-            "preset": PRESET_NAMES[args.preset],
-            "violation": args.violation,
-        }
-        for r in range(args.reps)
-    ]
-    rows = _run_replicates(_bench_high_replicate, payloads, jobs)
+    spec = {
+        **_preset_shape(args.preset),
+        "phi_scale": 0.75 if args.violation == "thresh" else 0.0,
+        "ucc_fraction": 0.75 if args.violation == "ucc" else 0.0,
+    }
+    rows = _run_replicates(args, spec, "min-hd-oracle")
     config_doc = {
         "preset": args.preset,
         "violation": args.violation,
@@ -495,7 +449,7 @@ def build_parser():
     p_low.add_argument("--lambda-lo", type=float, default=0.6)
     p_low.add_argument("--lambda-hi", type=float, default=0.8)
     p_low.add_argument("--select", choices=["bic", "min-hd"], default="bic")
-    p_low.add_argument("--jobs", type=int, default=None, help="default: CT_FACTOR_JOBS or 1")
+    p_low.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_low.add_argument("--out-json", default="bench_low.json")
     p_low.add_argument("--out-csv", default="bench_low.csv")
     p_low.set_defaults(func=cmd_bench_low)
@@ -505,7 +459,7 @@ def build_parser():
     p_high.add_argument("--violation", choices=["thresh", "ucc"], required=True)
     p_high.add_argument("--reps", type=int, default=10)
     p_high.add_argument("--seed", type=int, default=0)
-    p_high.add_argument("--jobs", type=int, default=None, help="default: CT_FACTOR_JOBS or 1")
+    p_high.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_high.add_argument("--out-json", default="bench_high.json")
     p_high.add_argument("--out-csv", default="bench_high.csv")
     p_high.set_defaults(func=cmd_bench_high)

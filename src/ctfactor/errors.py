@@ -17,10 +17,6 @@ class NotPositiveDefinite(CtFactorError):
     """A matrix required to be positive definite is not (within tolerance)."""
 
 
-class TooLarge(CtFactorError):
-    """Input exceeds the hard guard of a brute-force code path."""
-
-
 class EmptyCliqueSet(CtFactorError):
     """A structure was requested from a clique set with no cliques."""
 

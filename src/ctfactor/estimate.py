@@ -44,7 +44,6 @@ __all__ = [
     "fit_mle",
     "count_free_params",
     "bic_value",
-    "bic",
     "sample_covariance",
     "pearson_correlation",
 ]
@@ -129,11 +128,6 @@ def bic_value(loglik, k, n):
     if n <= 0:
         raise DomainError(f"n must be positive, got {n}")
     return -2.0 * loglik + k * math.log(n)
-
-
-def bic(fit, n):
-    """Bayesian information criterion of a fit at sample size ``n``."""
-    return bic_value(fit.loglik, fit.n_free_params, n)
 
 
 def _row_classes(structure):

@@ -17,7 +17,9 @@ compared.
 
 Validating the matrix, taking its symmetric absolute value and
 thresholding are separate steps, so a sweep over many thresholds does the
-first two once (see ``ct.ct_run``).
+first two once (see ``ct.ct_run``). Each threshold then builds a single
+``p x p`` boolean matrix, the closed neighborhoods, which serves both the
+edge count and the search.
 """
 
 from dataclasses import dataclass
@@ -44,18 +46,17 @@ _TILE = 128
 class ThresholdedGraph:
     """Simple undirected graph on ``p`` vertices from thresholding.
 
-    ``adjacency`` is a symmetric boolean matrix with a False diagonal;
-    ``closed`` is the same matrix with a True diagonal (closed
-    neighborhoods as rows).
+    ``closed`` is the symmetric boolean adjacency matrix with a True
+    diagonal: row ``i`` is the closed neighborhood of vertex ``i``, and
+    ``i`` and ``j != i`` are adjacent when ``closed[i, j]``.
     """
 
     p: int
     tau: float
-    adjacency: np.ndarray
     closed: np.ndarray
 
     def edge_count(self):
-        return int(np.count_nonzero(self.adjacency)) // 2
+        return (int(np.count_nonzero(self.closed)) - self.p) // 2
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,10 @@ def _threshold(absr, tau):
     """Graph of ``absr > tau`` for ``absr`` from ``_symmetric_abs``."""
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau must lie in [0, 1], got {tau}")
-    adjacency = absr > tau
-    np.fill_diagonal(adjacency, False)
-    closed = adjacency.copy()
+    closed = absr > tau
     np.fill_diagonal(closed, True)
-    adjacency.flags.writeable = False
     closed.flags.writeable = False
-    return ThresholdedGraph(
-        p=absr.shape[0], tau=float(tau), adjacency=adjacency, closed=closed
-    )
+    return ThresholdedGraph(p=absr.shape[0], tau=float(tau), closed=closed)
 
 
 def independent_maximal_cliques(graph):

@@ -7,13 +7,11 @@ errors with positive variances. The implied covariance is
     Sigma = loadings @ factor_corr @ loadings.T + diag(error_var)
 
 and everything in this module is a deterministic function of those three
-blocks: implied moments, the shared/unshared split of variable pairs, the
-correlation-separation check that drives threshold selection, unique-child
-bookkeeping, identifiability checks, and two closed-form probability
-bounds.
+blocks: implied moments, the correlation-separation check that drives
+threshold selection, unique-child bookkeeping, identifiability checks, and
+the closed-form bound on the chance a thresholded sample graph is wrong.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,22 +22,31 @@ from .numerics import as_sym_matrix, cholesky
 __all__ = [
     "FactorParams",
     "Structure",
-    "EdgePartition",
     "ThresholdabilityReport",
     "implied_covariance",
     "implied_correlation",
-    "edge_partition",
     "thresholdability",
-    "general_sufficient_check",
     "unique_children",
     "rotational_uniqueness_check",
     "consistency_bound",
-    "ucc_probability_bound",
 ]
 
 #: Relative singular-value cutoff for the rank test in
 #: :func:`rotational_uniqueness_check`.
 RANK_TOL = 1e-10
+
+
+def _parse_document(kind, doc, parse):
+    """``parse(doc)`` for a JSON document of ``kind``; a document it cannot
+    parse raises a :class:`DomainError` that names ``kind``."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{kind} document must be a JSON object, got {type(doc).__name__}")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise DomainError(f"{kind} document is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} document: {exc}") from None
 
 
 def _frozen_array(arr):
@@ -124,14 +131,10 @@ class FactorParams:
 
     @classmethod
     def from_json_dict(cls, doc):
-        try:
-            return cls(
-                loadings=np.asarray(doc["lambda"], dtype=float),
-                factor_corr=np.asarray(doc["phi"], dtype=float),
-                error_var=np.asarray(doc["omega"], dtype=float),
-            )
-        except KeyError as exc:
-            raise DomainError(f"model document is missing key {exc}") from None
+        lam, phi, omega = _parse_document("model", doc, lambda doc: [
+            np.asarray(doc[key], dtype=float) for key in ("lambda", "phi", "omega")
+        ])
+        return cls(loadings=lam, factor_corr=phi, error_var=omega)
 
 
 @dataclass(frozen=True)
@@ -208,26 +211,12 @@ class Structure:
 
     @classmethod
     def from_json_dict(cls, doc):
-        try:
-            return cls(
-                p=int(doc["p"]),
-                d=int(doc["d"]),
-                support=frozenset((int(i), int(j)) for i, j in doc["support"]),
-            )
-        except KeyError as exc:
-            raise DomainError(f"structure document is missing key {exc}") from None
-
-
-@dataclass(frozen=True)
-class EdgePartition:
-    """Variable pairs split by whether they share at least one factor.
-
-    Both sets hold ``(i, j)`` with ``i < j``; together they cover all
-    unordered pairs.
-    """
-
-    shared: frozenset
-    unshared: frozenset
+        p, d, support = _parse_document("structure", doc, lambda doc: (
+            int(doc["p"]),
+            int(doc["d"]),
+            frozenset((int(i), int(j)) for i, j in doc["support"]),
+        ))
+        return cls(p=p, d=d, support=support)
 
 
 @dataclass(frozen=True)
@@ -276,27 +265,14 @@ def implied_correlation(theta):
     return (corr + corr.T) / 2.0
 
 
-def edge_partition(structure):
-    """Split all variable pairs by shared-factor membership."""
-    parents = structure.parent_sets()
-    shared, unshared = set(), set()
-    for i in range(structure.p):
-        for j in range(i + 1, structure.p):
-            if parents[i] & parents[j]:
-                shared.add((i, j))
-            else:
-                unshared.add((i, j))
-    return EdgePartition(shared=frozenset(shared), unshared=frozenset(unshared))
-
-
 def thresholdability(theta):
     """Check whether one threshold separates shared from non-shared pairs.
 
-    Computes the implied correlation matrix, partitions the pairs with
-    :func:`edge_partition` on the loading support, and compares the
-    absolute correlations across the two sides. The pairs are separable
-    exactly when every shared-factor pair out-correlates every
-    non-shared pair in absolute value (strict).
+    Computes the implied correlation matrix, marks a pair shared when
+    its two rows of the loading support have a factor in common, and
+    compares the absolute correlations across the two sides. The pairs
+    are separable exactly when every shared-factor pair out-correlates
+    every non-shared pair in absolute value (strict).
 
     Returns
     -------
@@ -321,59 +297,6 @@ def thresholdability(theta):
         tau0=float((min_shared + max_unshared) / 2.0),
         degenerate=degenerate,
     )
-
-
-def general_sufficient_check(theta):
-    """Separability test evaluated through per-pair parent-set blocks.
-
-    Independent route to the same yes/no answer as
-    :func:`thresholdability`: for each pair the correlation is assembled
-    from sub-blocks of the factor correlation indexed by the two parent
-    sets (exclusive parts and overlap) instead of normalizing the full
-    implied covariance. Shared pairs must all exceed non-shared pairs in
-    absolute value, strictly.
-    """
-    lam = theta.loadings
-    phi = theta.factor_corr
-    # per-row implied standard deviations, assembled row by row
-    row_var = np.einsum("ij,jk,ik->i", lam, phi, lam) + theta.error_var
-    lam_std = lam / np.sqrt(row_var)[:, None]
-    parents = [np.flatnonzero(lam[i]) for i in range(lam.shape[0])]
-    parent_sets = [set(ix.tolist()) for ix in parents]
-
-    def block(rowvec_i, rowvec_j, left, right):
-        if len(left) == 0 or len(right) == 0:
-            return 0.0
-        li = np.fromiter(sorted(left), dtype=int)
-        ri = np.fromiter(sorted(right), dtype=int)
-        return float(rowvec_i[li] @ phi[np.ix_(li, ri)] @ rowvec_j[ri])
-
-    min_shared = None
-    max_unshared = None
-    p = lam.shape[0]
-    for i in range(p):
-        for j in range(i + 1, p):
-            overlap = parent_sets[i] & parent_sets[j]
-            li, lj = lam_std[i], lam_std[j]
-            if overlap:
-                only_i = parent_sets[i] - overlap
-                only_j = parent_sets[j] - overlap
-                val = (
-                    block(li, lj, only_i, only_j)
-                    + block(li, lj, overlap, only_j)
-                    + block(li, lj, only_i, overlap)
-                    + block(li, lj, overlap, overlap)
-                )
-                val = abs(val)
-                min_shared = val if min_shared is None else min(min_shared, val)
-            else:
-                val = abs(block(li, lj, parent_sets[i], parent_sets[j]))
-                max_unshared = val if max_unshared is None else max(max_unshared, val)
-    if min_shared is None:
-        min_shared = 1.0
-    if max_unshared is None:
-        max_unshared = 0.0
-    return max_unshared < min_shared
 
 
 def unique_children(structure):
@@ -454,18 +377,3 @@ def consistency_bound(n, p, gamma, c_const=1.0):
     eta = c_const * p * (p - 1) * (n - 2) * ratio ** (n - 4)
     return float(min(1.0, max(0.0, eta)))
 
-
-def ucc_probability_bound(p, d, alpha):
-    """Lower bound on the chance a random bipartite support is identifiable.
-
-    For independent edge probability ``alpha`` over a ``p x d`` support,
-    the probability every factor keeps at least one unique child is at
-    least ``1 - d * exp(-alpha * p * (1 - alpha)**d)``, clamped to
-    ``[0, 1]``.
-    """
-    if p < 1 or d < 1:
-        raise DomainError(f"p and d must be >= 1, got p={p}, d={d}")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    bound = 1.0 - d * math.exp(-alpha * p * (1.0 - alpha) ** d)
-    return float(min(1.0, max(0.0, bound)))

@@ -11,7 +11,7 @@ leaving separability intact).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     InvalidVariance,
     NotPositiveDefinite,
 )
-from .model import FactorParams, Structure
+from .model import FactorParams
 from .numerics import RngState, cholesky, mvn_sample
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "gen_phi",
     "gen_independent_cluster",
     "gen_ucc_violation",
-    "gen_random_bipartite",
     "sample_dataset",
     "data_rng",
 ]
@@ -201,37 +200,6 @@ def gen_ucc_violation(spec, rng=None):
     if np.any(omega <= 0):
         raise InvalidVariance("a communality of >= 1 left no error variance")
     return FactorParams(loadings=lam, factor_corr=np.eye(d), error_var=omega)
-
-
-def gen_random_bipartite(p, d, alpha, rng):
-    """Random bipartite support: each edge present independently w.p. alpha.
-
-    Empty rows are re-drawn row-wise (a variable must have a parent); an
-    empty column restarts the whole draw. Returns a :class:`Structure`.
-    """
-    if p < 1 or d < 1:
-        raise DomainError(f"p and d must be >= 1, got p={p}, d={d}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    gen = rng.generator
-    for _ in range(MAX_REDRAWS):
-        mat = gen.random((p, d)) < alpha
-        for i in range(p):
-            guard = 0
-            while not mat[i].any():
-                mat[i] = gen.random(d) < alpha
-                guard += 1
-                if guard > 100_000:
-                    raise GenerationFailure("row redraw budget exhausted")
-        if mat.any(axis=0).all():
-            support = frozenset(
-                (int(i), int(j)) for i, j in zip(*np.nonzero(mat))
-            )
-            return Structure(p=p, d=d, support=support)
-    raise GenerationFailure(
-        f"no support without empty columns in {MAX_REDRAWS} draws "
-        f"(p={p}, d={d}, alpha={alpha})"
-    )
 
 
 def sample_dataset(theta, n, rng):

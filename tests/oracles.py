@@ -1,5 +1,7 @@
 """Reference implementations for tests only.
 
+Brute-force paths raise ``TooLarge`` beyond their size guards.
+
 Structure metric. ``brute_force_metric`` enumerates every padded column permutation, so it
 is exact by construction but capped at a few columns. ``dense_lsa_metric``
 solves the padded assignment problem on the dense overlap matrix in one
@@ -16,6 +18,14 @@ threshold, as the sweep did before it became one pass.
 Likelihood. ``gaussian_loglik`` evaluates the Gaussian log-likelihood of
 any positive definite model directly from its Cholesky factor; it checks
 the package's ``saturated_loglik`` and the likelihoods the fitter reports.
+
+Population diagnostics. ``general_sufficient_check`` answers the
+separability question of ``thresholdability`` by a second route: it
+assembles each pair's correlation from the factor-correlation blocks of the
+two parent sets, one pair at a time. ``gen_random_bipartite`` draws a
+random support with independent edges, and ``ucc_probability_bound`` is
+the closed-form floor on the chance that such a support keeps a unique
+child for every factor.
 
 JSON. ``dumps_json_reference`` is the stdlib encoder the package used
 before its own emitter: numpy values and non-finite floats converted by a
@@ -36,18 +46,30 @@ from scipy.optimize import linear_sum_assignment
 from ctfactor import (
     CliqueSet,
     MetricReport,
+    Structure,
     build_graph,
     independent_maximal_cliques,
     structure_from_cliques,
 )
-from ctfactor.errors import DimensionMismatch, DomainError, ParseError, TooLarge
+from ctfactor.errors import (
+    CtFactorError,
+    DimensionMismatch,
+    DomainError,
+    GenerationFailure,
+    ParseError,
+)
 from ctfactor.numerics import as_sym_matrix, cholesky
+from ctfactor.simgen import MAX_REDRAWS
 
 #: Column-count guard for the brute-force permutation oracle.
 BRUTE_FORCE_MAX_COLUMNS = 8
 
 #: Vertex-count guard for the brute-force clique enumerator.
 BRUTE_FORCE_MAX_VERTICES = 25
+
+
+class TooLarge(CtFactorError):
+    """Input exceeds the hard guard of a brute-force code path."""
 
 
 def brute_force_metric(est, truth, which):
@@ -175,7 +197,7 @@ def brute_force_independent_cliques(graph):
             f"got p={graph.p}"
         )
     neighbors = [
-        set(int(v) for v in np.flatnonzero(graph.adjacency[i])) for i in range(graph.p)
+        set(int(v) for v in np.flatnonzero(graph.closed[i])) - {i} for i in range(graph.p)
     ]
     all_maximal = []
     _bron_kerbosch(set(), set(range(graph.p)), set(), neighbors, all_maximal)
@@ -221,6 +243,105 @@ def per_tau_sweep(corr, thresholds):
             candidates.append((structure, []))
         candidates[by_key[key]][1].append(float(tau))
     return cliques_at, [(s, tuple(t)) for s, t in candidates], tuple(skipped)
+
+
+def general_sufficient_check(theta):
+    """Separability test evaluated through per-pair parent-set blocks.
+
+    Independent route to the same yes/no answer as ``thresholdability``:
+    for each pair the correlation is assembled from sub-blocks of the
+    factor correlation indexed by the two parent sets (exclusive parts and
+    overlap) instead of normalizing the full implied covariance. Shared
+    pairs must all exceed non-shared pairs in absolute value, strictly.
+    """
+    lam = theta.loadings
+    phi = theta.factor_corr
+    # per-row implied standard deviations, assembled row by row
+    row_var = np.einsum("ij,jk,ik->i", lam, phi, lam) + theta.error_var
+    lam_std = lam / np.sqrt(row_var)[:, None]
+    parents = [np.flatnonzero(lam[i]) for i in range(lam.shape[0])]
+    parent_sets = [set(ix.tolist()) for ix in parents]
+
+    def block(rowvec_i, rowvec_j, left, right):
+        if len(left) == 0 or len(right) == 0:
+            return 0.0
+        li = np.fromiter(sorted(left), dtype=int)
+        ri = np.fromiter(sorted(right), dtype=int)
+        return float(rowvec_i[li] @ phi[np.ix_(li, ri)] @ rowvec_j[ri])
+
+    min_shared = None
+    max_unshared = None
+    p = lam.shape[0]
+    for i in range(p):
+        for j in range(i + 1, p):
+            overlap = parent_sets[i] & parent_sets[j]
+            li, lj = lam_std[i], lam_std[j]
+            if overlap:
+                only_i = parent_sets[i] - overlap
+                only_j = parent_sets[j] - overlap
+                val = (
+                    block(li, lj, only_i, only_j)
+                    + block(li, lj, overlap, only_j)
+                    + block(li, lj, only_i, overlap)
+                    + block(li, lj, overlap, overlap)
+                )
+                val = abs(val)
+                min_shared = val if min_shared is None else min(min_shared, val)
+            else:
+                val = abs(block(li, lj, parent_sets[i], parent_sets[j]))
+                max_unshared = val if max_unshared is None else max(max_unshared, val)
+    if min_shared is None:
+        min_shared = 1.0
+    if max_unshared is None:
+        max_unshared = 0.0
+    return max_unshared < min_shared
+
+
+def gen_random_bipartite(p, d, alpha, rng):
+    """Random bipartite support: each edge present independently w.p. alpha.
+
+    Empty rows are re-drawn row-wise (a variable must have a parent); an
+    empty column restarts the whole draw. Returns a ``Structure``.
+    """
+    if p < 1 or d < 1:
+        raise DomainError(f"p and d must be >= 1, got p={p}, d={d}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    gen = rng.generator
+    for _ in range(MAX_REDRAWS):
+        mat = gen.random((p, d)) < alpha
+        for i in range(p):
+            guard = 0
+            while not mat[i].any():
+                mat[i] = gen.random(d) < alpha
+                guard += 1
+                if guard > 100_000:
+                    raise GenerationFailure("row redraw budget exhausted")
+        if mat.any(axis=0).all():
+            support = frozenset(
+                (int(i), int(j)) for i, j in zip(*np.nonzero(mat))
+            )
+            return Structure(p=p, d=d, support=support)
+    raise GenerationFailure(
+        f"no support without empty columns in {MAX_REDRAWS} draws "
+        f"(p={p}, d={d}, alpha={alpha})"
+    )
+
+
+def ucc_probability_bound(p, d, alpha):
+    """Lower bound on the chance a random bipartite support is identifiable.
+
+    For independent edge probability ``alpha`` over a ``p x d`` support,
+    the probability every factor keeps at least one unique child is at
+    least ``1 - d * exp(-alpha * p * (1 - alpha)**d)``, clamped to
+    ``[0, 1]``.
+    """
+    if p < 1 or d < 1:
+        raise DomainError(f"p and d must be >= 1, got p={p}, d={d}")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    bound = 1.0 - d * math.exp(-alpha * p * (1.0 - alpha) ** d)
+    return float(min(1.0, max(0.0, bound)))
 
 
 def gaussian_loglik(sigma_model, s_sample, n):

@@ -26,9 +26,7 @@ from ctfactor import (
     data_rng,
     fit_mle,
     gen_independent_cluster,
-    gen_random_bipartite,
     gen_ucc_violation,
-    general_sufficient_check,
     hamming_distance,
     implied_correlation,
     implied_covariance,
@@ -38,11 +36,17 @@ from ctfactor import (
     sample_dataset,
     structure_from_cliques,
     thresholdability,
-    ucc_probability_bound,
     unique_children,
 )
 from ctfactor.io import save_json
-from oracles import brute_force_independent_cliques, brute_force_metric, gaussian_loglik
+from oracles import (
+    brute_force_independent_cliques,
+    brute_force_metric,
+    gaussian_loglik,
+    gen_random_bipartite,
+    general_sufficient_check,
+    ucc_probability_bound,
+)
 
 TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
 
@@ -312,7 +316,7 @@ def test_07_edge_recovery_error_decays_with_sample_size():
         for r in range(200):
             data = sample_dataset(theta, n, RngState(900000 + 1000 * n + r))
             est = build_graph(pearson_correlation(data), report.tau0)
-            misses += not np.array_equal(est.adjacency, population.adjacency)
+            misses += not np.array_equal(est.closed, population.closed)
         rates[n] = misses / 200
 
     stats = f"rates={rates} gap={report.gap:.4f}"

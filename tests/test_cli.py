@@ -210,7 +210,11 @@ class TestCheck:
         assert rc == 0
         doc = json.loads(out.read_text())
         validate(doc, "check_report")
-        assert doc["routes_agree"] is True
+        assert sorted(doc) == [
+            "consistency_curve", "d", "p", "rotational_uniqueness",
+            "thresholdability", "unique_children",
+        ]
+        assert doc["thresholdability"]["thresholdable"] is True
         assert doc["unique_children"]["ucc_holds"] is True
         assert [pt["n"] for pt in doc["consistency_curve"]] == [100, 300, 1000]
 
@@ -309,17 +313,38 @@ class TestBench:
         seeds = [int(r.split(",")[1]) for r in rows]
         assert seeds == [70, 71, 72]
 
-    def test_env_var_jobs_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CT_FACTOR_JOBS", "not-a-number")
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_2(self, tmp_path, capsys, jobs):
         rc = cli.main(
             [
                 "bench", "low", "--reps", "1", "--n", "100", "--select", "min-hd",
+                "--jobs", jobs,
                 "--out-json", str(tmp_path / "a.json"),
                 "--out-csv", str(tmp_path / "a.csv"),
             ]
         )
         assert rc == 2
-        assert "CT_FACTOR_JOBS" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize(
+        "mode",
+        [["low", "--n", "150", "--select", "min-hd"],
+         ["high", "--preset", "highdim-250", "--violation", "ucc"]],
+        ids=["low", "high"],
+    )
+    def test_aggregate_bytes_independent_of_jobs(self, tmp_path, capsys, mode):
+        outs = []
+        for jobs in ("1", "2"):
+            out_json = tmp_path / f"agg_{jobs}.json"
+            rc = cli.main(
+                ["bench", *mode, "--reps", "2", "--seed", "50", "--jobs", jobs,
+                 "--out-json", str(out_json), "--out-csv", str(tmp_path / f"reps_{jobs}.csv")]
+            )
+            assert rc == 0
+            outs.append(out_json.read_bytes())
+        assert json.loads(outs[0])["failures"] == []
+        assert outs[0] == outs[1]
 
 
 class TestExitCodes:
@@ -331,6 +356,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,2.0\n3.0\n")
         assert cli.main(["fit", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("evaluate", {"p": 2, "d": 1, "support": [[0, 0, 1], [1, 0]]},
+             "malformed structure document: too many values to unpack (expected 2)"),
+            ("evaluate", {"p": 2, "d": 1, "support": [[0, "x"], [1, 0]]},
+             "malformed structure document: invalid literal for int() with base 10: 'x'"),
+            ("evaluate", {"p": 2, "d": 1, "support": 5},
+             "malformed structure document: 'int' object is not iterable"),
+            ("check", [1, 2], "model document must be a JSON object, got list"),
+            ("check", {"lambda": [[0.5, 0.0], [0.5]], "phi": [[1.0]], "omega": [0.75, 0.75]},
+             "malformed model document: setting an array element with a sequence. The "
+             "requested array has an inhomogeneous shape after 1 dimensions. The detected "
+             "shape was (2,) + inhomogeneous part."),
+        ],
+        ids=["support-triple", "support-string", "support-scalar", "model-list",
+             "model-ragged-lambda"],
+    )
+    def test_malformed_document_is_2(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + ([str(path)] if command == "evaluate" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_unexpected_failure_is_3(self, workspace, capsys, monkeypatch):
         _, _, data = workspace

@@ -7,19 +7,18 @@ import ctfactor.graph as graph_module
 from ctfactor import (
     EmptyCliqueSet,
     Structure,
-    TooLarge,
     build_graph,
     independent_maximal_cliques,
     structure_from_cliques,
 )
 from ctfactor.errors import DimensionMismatch, DomainError
 from ctfactor.numerics import RngState
-from oracles import brute_force_independent_cliques, is_clique, neighborhood
+from oracles import TooLarge, brute_force_independent_cliques, is_clique, neighborhood
 
 
 def edge_list(graph):
     """Sorted (i, j) pairs with i < j."""
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(graph.adjacency, k=1)))]
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(graph.closed, k=1)))]
 
 
 def graph_from_edges(p, edges, weight=0.5, tau=0.25):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ctfactor import Structure, TooLarge, hamming_distance
+from ctfactor import Structure, hamming_distance
 from ctfactor.numerics import RngState
-from oracles import brute_force_metric, column_indicators, dense_lsa_metric
+from oracles import TooLarge, brute_force_metric, column_indicators, dense_lsa_metric
 
 
 def structure_of(p, cols):

@@ -8,8 +8,9 @@ import pytest
 import ctfactor as cf
 from ctfactor import FactorParams, Structure
 from ctfactor.errors import DimensionMismatch, DomainError, InvalidSpec, NotPositiveDefinite
-from ctfactor.model import edge_partition, implied_correlation, implied_covariance
+from ctfactor.model import implied_correlation, implied_covariance
 from ctfactor.numerics import RngState
+from oracles import general_sufficient_check, ucc_probability_bound
 
 
 def two_block_params(lam_a=0.7, lam_b=0.7, phi12=0.3, rows=2):
@@ -162,20 +163,36 @@ class TestImpliedMoments:
         assert np.allclose(np.diag(implied_covariance(theta)), 1.0, atol=1e-12)
 
 
-class TestEdgePartition:
+def assert_split(theta, shared, unshared):
+    """``thresholdability`` reads its two sides off exactly these pairs."""
+    corr = np.abs(implied_correlation(theta))
+    rep = cf.thresholdability(theta)
+    assert rep.min_shared == min(corr[i, j] for i, j in shared)
+    assert rep.max_unshared == max(corr[i, j] for i, j in unshared)
+    return rep
+
+
+class TestSharedPairs:
     def test_two_blocks(self):
+        # within-block 0.7 * 0.7, cross-block 0.7 * 0.3 * 0.7
         theta = two_block_params()
-        part = edge_partition(theta.structure())
-        assert (0, 1) in part.shared
-        assert (2, 3) in part.shared
-        assert (0, 2) in part.unshared and (1, 3) in part.unshared
-        assert len(part.shared) == 2 and len(part.unshared) == 4
+        rep = assert_split(
+            theta, shared=[(0, 1), (2, 3)], unshared=[(0, 2), (0, 3), (1, 2), (1, 3)]
+        )
+        assert rep.min_shared == pytest.approx(0.49, abs=1e-12)
+        assert rep.max_unshared == pytest.approx(0.147, abs=1e-12)
 
     def test_shared_means_common_parent(self):
-        s = Structure(p=3, d=2, support=frozenset({(0, 0), (1, 0), (1, 1), (2, 1)}))
-        part = edge_partition(s)
-        assert set(part.shared) == {(0, 1), (1, 2)}
-        assert set(part.unshared) == {(0, 2)}
+        # support {(0,0), (1,0), (1,1), (2,1)}: variable 1 links 0 and 2,
+        # which share no factor themselves
+        lam = np.array([[0.8, 0.0], [0.5, 0.4], [0.0, 0.7]])
+        phi = np.array([[1.0, 0.2], [0.2, 1.0]])
+        comm = np.einsum("ij,jk,ik->i", lam, phi, lam)
+        theta = FactorParams(loadings=lam, factor_corr=phi, error_var=1.0 - comm)
+        rep = assert_split(theta, shared=[(0, 1), (1, 2)], unshared=[(0, 2)])
+        # |r_01| = 0.8 * 0.58, |r_12| = 0.5 * 0.7, |r_02| = 0.8 * 0.2 * 0.7
+        assert rep.min_shared == pytest.approx(0.35, abs=1e-12)
+        assert rep.max_unshared == pytest.approx(0.112, abs=1e-12)
 
 
 class TestThresholdability:
@@ -252,7 +269,7 @@ class TestGeneralSufficientCheck:
             lam *= np.sqrt(np.minimum(0.9 / np.maximum(comm, 1e-12), 1.0))[:, None]
             comm = np.einsum("ij,jk,ik->i", lam, phi, lam)
             theta = FactorParams(loadings=lam, factor_corr=phi, error_var=1 - comm)
-            assert cf.general_sufficient_check(theta) == cf.thresholdability(theta).thresholdable
+            assert general_sufficient_check(theta) == cf.thresholdability(theta).thresholdable
 
     def test_route_is_not_correlation_based(self):
         # sanity: the check never forms the implied correlation matrix, so
@@ -262,7 +279,7 @@ class TestGeneralSufficientCheck:
         lam[2:, 1] = 1.1
         phi = np.array([[1.0, 0.3], [0.3, 1.0]])
         theta = FactorParams(loadings=lam, factor_corr=phi, error_var=np.full(4, 2.0))
-        assert cf.general_sufficient_check(theta) == cf.thresholdability(theta).thresholdable
+        assert general_sufficient_check(theta) == cf.thresholdability(theta).thresholdable
 
 
 class TestUniqueChildren:
@@ -353,18 +370,18 @@ class TestConsistencyBound:
 class TestUccProbabilityBound:
     def test_closed_form_value(self):
         # 1 - d exp(-alpha p (1 - alpha)^d) at d=1, alpha=0.5, p=20
-        assert cf.ucc_probability_bound(20, 1, 0.5) == pytest.approx(
+        assert ucc_probability_bound(20, 1, 0.5) == pytest.approx(
             1.0 - math.exp(-5.0), rel=1e-12
         )
 
     def test_clamps(self):
-        assert cf.ucc_probability_bound(5, 50, 0.5) == 0.0
-        assert cf.ucc_probability_bound(10, 1, 0.0) == 0.0
+        assert ucc_probability_bound(5, 50, 0.5) == 0.0
+        assert ucc_probability_bound(10, 1, 0.0) == 0.0
 
     def test_monotone_in_p(self):
-        vals = [cf.ucc_probability_bound(p, 5, 0.05) for p in (50, 100, 200, 400)]
+        vals = [ucc_probability_bound(p, 5, 0.05) for p in (50, 100, 200, 400)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cf.ucc_probability_bound(10, 2, 1.5)
+            ucc_probability_bound(10, 2, 1.5)

@@ -12,6 +12,7 @@ from ctfactor.errors import DomainError, InvalidSpec
 from ctfactor.model import implied_covariance
 from ctfactor.numerics import RngState, mvn_sample
 from ctfactor.simgen import DATA_STREAM_OFFSET, data_rng, gen_phi
+from oracles import gen_random_bipartite
 
 
 class TestSimSpec:
@@ -148,25 +149,25 @@ class TestUccViolation:
 class TestRandomBipartite:
     def test_every_row_and_column_covered(self):
         for seed in range(20):
-            s = cf.gen_random_bipartite(30, 4, 0.1, RngState(seed))
+            s = gen_random_bipartite(30, 4, 0.1, RngState(seed))
             assert s.p == 30 and s.d == 4
             assert s.zero_rows() == []
             assert all(len(c) >= 1 for c in s.child_sets())
 
     def test_deterministic(self):
-        a = cf.gen_random_bipartite(20, 3, 0.2, RngState(9))
-        b = cf.gen_random_bipartite(20, 3, 0.2, RngState(9))
+        a = gen_random_bipartite(20, 3, 0.2, RngState(9))
+        b = gen_random_bipartite(20, 3, 0.2, RngState(9))
         assert a == b
 
     def test_alpha_one_is_complete(self):
-        s = cf.gen_random_bipartite(6, 2, 1.0, RngState(0))
+        s = gen_random_bipartite(6, 2, 1.0, RngState(0))
         assert len(s.support) == 12
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cf.gen_random_bipartite(5, 2, 1.5, RngState(0))
+            gen_random_bipartite(5, 2, 1.5, RngState(0))
         with pytest.raises(DomainError):
-            cf.gen_random_bipartite(0, 2, 0.5, RngState(0))
+            gen_random_bipartite(0, 2, 0.5, RngState(0))
 
 
 class TestSampleDataset:
