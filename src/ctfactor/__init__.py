@@ -51,7 +51,7 @@ from .model import (
     thresholdability,
     unique_children,
 )
-from .numerics import RngState, cholesky, logdet_pd, mvn_sample
+from .numerics import cholesky, logdet_pd, mvn_sample, philox
 from .simgen import (
     HIGHDIM_PRESETS,
     SimSpec,
@@ -86,7 +86,6 @@ __all__ = [
     "NonPDSampleWarning",
     "NotPositiveDefinite",
     "ParseError",
-    "RngState",
     "SimSpec",
     "Structure",
     "ThresholdabilityReport",
@@ -110,6 +109,7 @@ __all__ = [
     "logdet_pd",
     "mvn_sample",
     "pearson_correlation",
+    "philox",
     "rotational_uniqueness_check",
     "sample_covariance",
     "sample_dataset",

@@ -9,14 +9,15 @@ studies and writes tidy outputs (aggregate JSON plus per-replicate CSV).
 
 Every command is deterministic given its flags and ``--seed``; replicate
 ``r`` always uses ``seed + r``. Exit codes: 0 success, 2 bad input or
-flags, 3 internal failure. Plots are never rendered; outputs are JSON and
-CSV for downstream tools.
+flags, 3 internal failure. Each distinct warning goes to stderr once as
+``warning: <message>``. Plots are never rendered; outputs are JSON/CSV.
 """
 
 import argparse
 import csv
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -276,10 +277,19 @@ def _bench_replicate(payload):
         return {"replicate": rep, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _pooled_replicate(payload):
+    """``_bench_replicate`` plus the messages of its warnings, for the parent to print."""
+    with warnings.catch_warnings(record=True) as caught:
+        row = _bench_replicate(payload)
+    return row, [str(w.message) for w in caught]
+
+
 def _run_replicates(args, spec, selection):
     """Rows of ``args.reps`` replicates, on ``args.jobs`` worker processes."""
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {args.seed}")
     payloads = [
         {"replicate": r, "base_seed": args.seed, "spec": spec, "selection": selection}
         for r in range(args.reps)
@@ -289,7 +299,10 @@ def _run_replicates(args, spec, selection):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(_bench_replicate, payloads))
+        results = list(pool.map(_pooled_replicate, payloads))
+    for message in (m for _, messages in results for m in messages):
+        warnings.warn(message)
+    return [row for row, _ in results]
 
 
 OUTCOME_KEYS = ("f1", "hd", "d_hat", "d_abs_rel_err", "models_evaluated")
@@ -470,14 +483,19 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (CtFactorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # anything unexpected is an internal failure
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", append=True)  # earlier filters still apply
+        try:
+            code, error = args.func(args), None
+        except (CtFactorError, OSError) as exc:
+            code, error = 2, f"error: {exc}"
+        except Exception as exc:  # anything unexpected is an internal failure
+            code, error = 3, f"internal error: {type(exc).__name__}: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
-from .estimate import FitOptions, count_free_params, fit_mle, saturated_loglik
+from .estimate import count_free_params, fit_mle, saturated_loglik
 from .graph import (
     _symmetric_abs,
     _threshold,
@@ -58,12 +58,11 @@ class CtConfig:
     ``selection`` is one of ``"bic"`` (lowest BIC wins; candidates that
     cannot win are pruned unfitted), ``"min-hd-oracle"`` (closest support
     to ``truth`` wins, no fitting), or ``"none"`` (candidates only).
-    ``seed`` feeds the fit restarts.
+    ``seed`` (non-negative) seeds candidate ``k``'s fit as ``seed + k``.
     """
 
     thresholds: tuple = field(default_factory=lambda: tuple(default_thresholds()))
     selection: str = "bic"
-    fit_options: FitOptions = field(default_factory=FitOptions)
     truth: object = None
     seed: int = 0
 
@@ -81,6 +80,8 @@ class CtConfig:
             )
         if self.selection == "min-hd-oracle" and self.truth is None:
             raise MissingTruth("min-hd-oracle selection requires a truth structure")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -249,13 +250,7 @@ def ct_run(corr, n, config=None):
                 continue
             models_fitted += 1
             try:
-                fit = fit_mle(
-                    corr,
-                    n,
-                    cand.structure,
-                    options=config.fit_options,
-                    seed=config.seed + k,
-                )
+                fit = fit_mle(corr, n, cand.structure, seed=config.seed + k)
             except Exception as exc:  # a broken fit excludes the candidate only
                 cand.error = f"{type(exc).__name__}: {exc}"
                 continue

@@ -15,10 +15,11 @@ expectation-maximization over the latent factors:
 Each M-step maximizes the complete-data objective exactly, so the
 log-likelihood is non-decreasing along the path up to round-off. Multiple
 restarts jitter the starting loadings and ascend together as one batch
-along a leading restart axis; the best final likelihood wins.
-Column signs are normalized afterwards so that each factor's anchor
-variable (its smallest-index unique child, falling back to the
-smallest-index child) loads non-negatively.
+along a leading restart axis; the best final likelihood wins. Restart
+``r > 0`` jitters with ``philox(seed + r)``; error variances stay at or
+above ``OMEGA_FLOOR``. Column signs are normalized afterwards so that
+each factor's anchor variable (its smallest-index unique child, falling
+back to the smallest-index child) loads non-negatively.
 """
 
 import math
@@ -35,7 +36,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import FactorParams, unique_children
-from .numerics import RngState, as_sym_matrix, cholesky, logdet_pd
+from .numerics import as_sym_matrix, cholesky, logdet_pd, philox
 
 __all__ = [
     "FitOptions",
@@ -49,13 +50,16 @@ __all__ = [
 ]
 
 
+#: Floor on every EM error variance: a Heywood case stops here, short of zero.
+OMEGA_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs of the EM fit."""
 
     max_iterations: int = 2000
     loglik_tolerance: float = 1e-8
-    omega_floor: float = 1e-6
     restarts: int = 3
 
     def __post_init__(self):
@@ -63,8 +67,6 @@ class FitOptions:
             raise DomainError("max_iterations must be >= 1")
         if self.loglik_tolerance <= 0:
             raise DomainError("loglik_tolerance must be positive")
-        if self.omega_floor <= 0:
-            raise DomainError("omega_floor must be positive")
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
 
@@ -82,20 +84,7 @@ class FitResult:
     bic: float
     converged: bool
     n_iterations: int
-    n_free_params: int
     loglik_path: tuple
-
-    def to_json_dict(self):
-        doc = self.theta.to_json_dict()
-        doc.update(
-            {
-                "loglik": self.loglik,
-                "bic": self.bic,
-                "converged": self.converged,
-                "n_iterations": self.n_iterations,
-            }
-        )
-        return doc
 
 
 def saturated_loglik(s_sample, n):
@@ -212,7 +201,7 @@ def _em_ascent(s, n, classes, lam0, options):
     ]
     lam = lam0.copy()
     phi = np.tile(eye_d, (n_starts, 1, 1))
-    omega = np.tile(np.maximum(0.5 * s_diag, options.omega_floor), (n_starts, 1))
+    omega = np.tile(np.maximum(0.5 * s_diag, OMEGA_FLOOR), (n_starts, 1))
     live = np.arange(n_starts)
     paths = [[] for _ in range(n_starts)]
     outcomes = [None] * n_starts
@@ -285,7 +274,7 @@ def _em_ascent(s, n, classes, lam0, options):
             lflat[:, bidx] = coef
             # at the regression optimum the residual quadratic collapses
             omega_new[:, rows] = s_diag[rows] - (coef * rhs).sum(axis=2)
-        omega = np.maximum(omega_new, options.omega_floor)
+        omega = np.maximum(omega_new, OMEGA_FLOOR)
         # a non-positive E[LL'] diagonal (possible on a non-PD s) breaks the
         # restart: its slot turns NaN, as after a failed factorization
         cdiag = cmat.diagonal(axis1=1, axis2=2)
@@ -301,15 +290,16 @@ def _start_points(structure, restarts, seed):
     """Starting loadings of every restart, stacked (restarts x p x d).
 
     Restart 0 starts at 0.5 on the support; restart ``r > 0`` adds uniform
-    jitter on [-0.1, 0.1] drawn from ``RngState(seed).derive(r)``.
+    jitter on [-0.1, 0.1] drawn from ``philox(seed + r)``.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rows = np.asarray([i for i, _ in sorted(structure.support)], dtype=int)
     cols = np.asarray([j for _, j in sorted(structure.support)], dtype=int)
     lam0 = np.zeros((restarts, structure.p, structure.d))
     lam0[:, rows, cols] = 0.5
-    rng = RngState(seed)
     for r in range(1, restarts):
-        lam0[r, rows, cols] += rng.derive(r).generator.uniform(-0.1, 0.1, size=rows.size)
+        lam0[r, rows, cols] += philox(seed + r).uniform(-0.1, 0.1, size=rows.size)
     return lam0
 
 
@@ -365,28 +355,26 @@ def fit_mle(s_sample, n, structure, options=None, seed=0):
     lam, phi, omega, path, converged, n_iter = best
     lam, phi = _canonicalize_signs(lam.copy(), phi.copy(), structure)
     theta = FactorParams(loadings=lam, factor_corr=phi, error_var=omega)
-    k = count_free_params(structure)
     ll = path[-1]
     return FitResult(
         theta=theta,
         loglik=float(ll),
-        bic=bic_value(ll, k, n),
+        bic=bic_value(ll, count_free_params(structure), n),
         converged=converged,
         n_iterations=n_iter,
-        n_free_params=k,
         loglik_path=tuple(path),
     )
 
 
-def sample_covariance(data, ddof=1):
-    """Mean-centered sample covariance of rows."""
+def sample_covariance(data):
+    """Mean-centered sample covariance of rows (denominator ``n - 1``)."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"data must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] <= ddof:
-        raise DomainError(f"need more than {ddof} rows, got {arr.shape[0]}")
+    if arr.shape[0] < 2:
+        raise DomainError(f"need at least 2 rows, got {arr.shape[0]}")
     centered = arr - arr.mean(axis=0)
-    return centered.T @ centered / (arr.shape[0] - ddof)
+    return centered.T @ centered / (arr.shape[0] - 1)
 
 
 def pearson_correlation(data):
@@ -397,12 +385,7 @@ def pearson_correlation(data):
     ConstantColumn
         If any column has zero variance.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DomainError(f"need at least 2 rows, got {arr.shape[0]}")
-    cov = sample_covariance(arr, ddof=1)
+    cov = sample_covariance(data)
     sd = np.sqrt(np.diag(cov))
     flat = np.flatnonzero(sd == 0)
     if flat.size:

@@ -115,13 +115,12 @@ def _read_cells(path):
     return data, header
 
 
-def write_data_csv(path, data, header=True):
-    """Write an (n, p) array as CSV with an X1..Xp header by default."""
+def write_data_csv(path, data):
+    """Write an (n, p) array as CSV under an X1..Xp header."""
     arr = np.asarray(data, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"X{j + 1}" for j in range(arr.shape[1])])
+        writer.writerow([f"X{j + 1}" for j in range(arr.shape[1])])
         for row in arr:
             writer.writerow([repr(float(v)) for v in row])
 

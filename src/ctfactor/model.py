@@ -49,6 +49,14 @@ def _parse_document(kind, doc, parse):
         raise DomainError(f"malformed {kind} document: {exc}") from None
 
 
+def _json_int(value, what):
+    """``int(value)`` of a JSON integer; ``true``, ``2.9`` or ``"3"`` raise TypeError."""
+    out = int(value)
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def _frozen_array(arr):
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -212,9 +220,10 @@ class Structure:
     @classmethod
     def from_json_dict(cls, doc):
         p, d, support = _parse_document("structure", doc, lambda doc: (
-            int(doc["p"]),
-            int(doc["d"]),
-            frozenset((int(i), int(j)) for i, j in doc["support"]),
+            _json_int(doc["p"], "p"),
+            _json_int(doc["d"], "d"),
+            frozenset((_json_int(i, "support entry"), _json_int(j, "support entry"))
+                      for i, j in doc["support"]),
         ))
         return cls(p=p, d=d, support=support)
 
@@ -319,13 +328,13 @@ def unique_children(structure):
     return unique, all(len(u) > 0 for u in unique)
 
 
-def rotational_uniqueness_check(loadings, tol=RANK_TOL):
+def rotational_uniqueness_check(loadings):
     """Zero-pattern conditions for rotation-proof loadings.
 
     Condition 1: every column has at least ``d - 1`` structural zeros.
     Condition 2: for every column ``j``, deleting column ``j`` and keeping
     only the rows where column ``j`` is zero leaves a matrix of full rank
-    ``d - 1``. Rank is read off singular values with a relative cutoff.
+    ``d - 1``. Rank is read off singular values with the cutoff ``RANK_TOL``.
 
     Returns
     -------
@@ -351,7 +360,7 @@ def rotational_uniqueness_check(loadings, tol=RANK_TOL):
         if len(svals) == 0 or svals[0] == 0.0:
             rank = 0
         else:
-            rank = int(np.sum(svals > tol * svals[0]))
+            rank = int(np.sum(svals > RANK_TOL * svals[0]))
         if rank != d - 1:
             cond2 = False
     return {"condition1": cond1, "condition2": cond2}

@@ -23,7 +23,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import FactorParams
-from .numerics import RngState, cholesky, mvn_sample
+from .numerics import cholesky, mvn_sample, philox
 
 __all__ = [
     "SimSpec",
@@ -53,7 +53,7 @@ DATA_STREAM_OFFSET = 2**32
 
 def data_rng(spec):
     """Sampling stream of a spec, independent of its generation stream."""
-    return RngState((spec.seed + DATA_STREAM_OFFSET) % 2**64)
+    return philox((spec.seed + DATA_STREAM_OFFSET) % 2**64)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def gen_phi(d, scale, rng):
     if scale == 0.0:
         return np.eye(d)
     for _ in range(MAX_REDRAWS):
-        a = rng.generator.uniform(0.0, 1.0, size=(d, d))
+        a = rng.uniform(0.0, 1.0, size=(d, d))
         gram = a.T @ a
         off = ~np.eye(d, dtype=bool)
         vals = gram[off]
@@ -146,11 +146,11 @@ def gen_independent_cluster(spec):
     variables; loadings are uniform on ``lambda_range``; error variances
     complete each implied variance to exactly one.
     """
-    rng = RngState(spec.seed)
+    rng = philox(spec.seed)
     d, cpf = spec.d, spec.children_per_factor
     p = spec.p
     lo, hi = spec.lambda_range
-    values = rng.generator.uniform(lo, hi, size=p)
+    values = rng.uniform(lo, hi, size=p)
     lam = np.zeros((p, d))
     lam[np.arange(p), np.arange(p) // cpf] = values
     phi = gen_phi(d, spec.phi_scale, rng)
@@ -160,7 +160,7 @@ def gen_independent_cluster(spec):
     return FactorParams(loadings=lam, factor_corr=phi, error_var=omega)
 
 
-def gen_ucc_violation(spec, rng=None):
+def gen_ucc_violation(spec):
     """Independent-cluster model rewired to break unique children.
 
     The factor correlation is forced to identity. ``ceil(ucc_fraction*d)``
@@ -172,7 +172,7 @@ def gen_ucc_violation(spec, rng=None):
     communality 5:1 between main and extra parent (both positive), and the
     error variance is ``1 - r2``.
     """
-    rng = rng or RngState(spec.seed)
+    rng = philox(spec.seed)
     d, cpf = spec.d, spec.children_per_factor
     p = spec.p
     n_violate = math.ceil(spec.ucc_fraction * d)
@@ -180,15 +180,13 @@ def gen_ucc_violation(spec, rng=None):
         raise InvalidSpec("ucc_fraction > 0 requires at least two factors")
     main = np.arange(p) // cpf
     extra = np.full(p, -1)
-    selected = sorted(
-        int(k) for k in rng.generator.choice(d, size=n_violate, replace=False)
-    )
+    selected = sorted(int(k) for k in rng.choice(d, size=n_violate, replace=False))
     for k in selected:
         choices = [j for j in range(d) if j != k]
-        e = int(choices[rng.generator.integers(len(choices))])
+        e = int(choices[rng.integers(len(choices))])
         extra[main == k] = e
     lo2, hi2 = spec.lambda_range[0] ** 2, spec.lambda_range[1] ** 2
-    r2 = rng.generator.uniform(lo2, hi2, size=p)
+    r2 = rng.uniform(lo2, hi2, size=p)
     lam = np.zeros((p, d))
     for i in range(p):
         if extra[i] < 0:
@@ -211,7 +209,5 @@ def sample_dataset(theta, n, rng):
     sampling from the implied covariance.
     """
     factors = mvn_sample(theta.factor_corr, n, rng)
-    errors = rng.generator.standard_normal((int(n), theta.p)) * np.sqrt(
-        theta.error_var
-    )
+    errors = rng.standard_normal((int(n), theta.p)) * np.sqrt(theta.error_var)
     return factors @ theta.loadings.T + errors

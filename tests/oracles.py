@@ -307,13 +307,12 @@ def gen_random_bipartite(p, d, alpha, rng):
         raise DomainError(f"p and d must be >= 1, got p={p}, d={d}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    gen = rng.generator
     for _ in range(MAX_REDRAWS):
-        mat = gen.random((p, d)) < alpha
+        mat = rng.random((p, d)) < alpha
         for i in range(p):
             guard = 0
             while not mat[i].any():
-                mat[i] = gen.random(d) < alpha
+                mat[i] = rng.random(d) < alpha
                 guard += 1
                 if guard > 100_000:
                     raise GenerationFailure("row redraw budget exhausted")

@@ -16,7 +16,6 @@ from ctfactor import (
     FactorParams,
     FitOptions,
     HIGHDIM_PRESETS,
-    RngState,
     SimSpec,
     Structure,
     build_graph,
@@ -32,6 +31,7 @@ from ctfactor import (
     implied_covariance,
     independent_maximal_cliques,
     pearson_correlation,
+    philox,
     sample_covariance,
     sample_dataset,
     structure_from_cliques,
@@ -184,7 +184,7 @@ def test_04_clique_search_agrees_with_brute_force():
     assert len(independent_maximal_cliques(graph_from_adjacency(cycle4))) == 0
 
     for i in range(1000):
-        gen = RngState(7000 + i).generator
+        gen = philox(7000 + i)
         p = 2 + i % 11
         density = 0.1 + 0.8 * (i % 9) / 8
         upper = np.triu(gen.random((p, p)) < density, k=1)
@@ -196,7 +196,7 @@ def test_04_clique_search_agrees_with_brute_force():
 
 
 def test_05_sufficiency_check_agrees_with_direct_thresholdability():
-    gen = RngState(5500).generator
+    gen = philox(5500)
     checked = 0
     while checked < 1000:
         d = int(gen.integers(1, 4))
@@ -241,7 +241,7 @@ def test_06_fitter_is_monotone_stationary_and_exact():
     trio = FactorParams(
         loadings=lam_true, factor_corr=np.eye(1), error_var=1 - lam_true[:, 0] ** 2
     )
-    data = sample_dataset(trio, 500, RngState(606))
+    data = sample_dataset(trio, 500, philox(606))
     s = sample_covariance(data)
     lam_hat = np.array(
         [
@@ -314,7 +314,7 @@ def test_07_edge_recovery_error_decays_with_sample_size():
     for n in (100, 300, 1000):
         misses = 0
         for r in range(200):
-            data = sample_dataset(theta, n, RngState(900000 + 1000 * n + r))
+            data = sample_dataset(theta, n, philox(900000 + 1000 * n + r))
             est = build_graph(pearson_correlation(data), report.tau0)
             misses += not np.array_equal(est.closed, population.closed)
         rates[n] = misses / 200
@@ -329,7 +329,7 @@ def test_07_edge_recovery_error_decays_with_sample_size():
 
 
 def test_08_metrics_agree_with_brute_force_and_form_pseudometric():
-    gen = RngState(8800).generator
+    gen = philox(8800)
     for i in range(1000):
         p = int(gen.integers(3, 10))
         est = random_structure(gen, p, 7)
@@ -354,7 +354,7 @@ def test_08_metrics_agree_with_brute_force_and_form_pseudometric():
 def test_09_unique_child_frequency_beats_analytic_floor():
     draws = 2000
     holds = sum(
-        unique_children(gen_random_bipartite(200, 5, 0.05, RngState(40000 + t)))[1]
+        unique_children(gen_random_bipartite(200, 5, 0.05, philox(40000 + t)))[1]
         for t in range(draws)
     )
     frequency = holds / draws

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from ctfactor import cli
-from ctfactor.io import save_json
+from ctfactor import CtConfig, NonPDSampleWarning, cli, ct_run, philox
+from ctfactor.estimate import pearson_correlation
+from ctfactor.io import dumps_json, read_data_csv, save_json
+from ctfactor.model import FactorParams
 from oracles import dumps_json_reference
 
 
@@ -371,9 +374,17 @@ class TestExitCodes:
              "malformed model document: setting an array element with a sequence. The "
              "requested array has an inhomogeneous shape after 1 dimensions. The detected "
              "shape was (2,) + inhomogeneous part."),
+            ("evaluate", {"p": 2.9, "d": True, "support": [[0, 0], [1, 0]]},
+             "malformed structure document: p must be an integer, got 2.9"),
+            ("evaluate", {"p": 2, "d": True, "support": [[0, 0], [1, 0]]},
+             "malformed structure document: d must be an integer, got True"),
+            ("evaluate", {"p": 2.0, "d": 1, "support": [[0, 0], [1, 0]]},
+             "malformed structure document: p must be an integer, got 2.0"),
+            ("evaluate", {"p": 2, "d": 1, "support": [[0.7, 0], [1, 0]]},
+             "malformed structure document: support entry must be an integer, got 0.7"),
         ],
         ids=["support-triple", "support-string", "support-scalar", "model-list",
-             "model-ragged-lambda"],
+             "model-ragged-lambda", "p-fraction", "d-bool", "p-float", "support-fraction"],
     )
     def test_malformed_document_is_2(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "doc.json"
@@ -531,3 +542,142 @@ class TestCliDeterminism:
         b = json.loads(outs[1].read_text())
         a["timings_s"] = b["timings_s"] = None
         assert a == b
+
+
+class TestNegativeSeed:
+    """A negative ``--seed`` exits 2 before any work, in every command."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fit", "{data}", "--select", "bic"],
+         ["fit", "{data}", "--select", "min-hd", "--truth", "{model}"],
+         ["fit", "{data}", "--select", "none"],
+         ["simulate", "--out-model", "{tmp}/m.json", "--out-data", "{tmp}/d.csv"],
+         ["bench", "low", "--reps", "1", "--n", "100",
+          "--out-json", "{tmp}/a.json", "--out-csv", "{tmp}/a.csv"],
+         ["bench", "high", "--preset", "highdim-250", "--violation", "ucc", "--reps", "1",
+          "--out-json", "{tmp}/a.json", "--out-csv", "{tmp}/a.csv"]],
+        ids=["fit-bic", "fit-min-hd", "fit-none", "simulate", "bench-low", "bench-high"],
+    )
+    def test_exits_2(self, workspace, tmp_path, capsys, command):
+        _, model, data = workspace
+        argv = [arg.format(data=data, model=model, tmp=tmp_path) for arg in command]
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+def rank_warning(n, p):
+    return (f"warning: BIC selection with n={n} < p={p}: the sample correlation matrix "
+            "is rank deficient and likelihoods are unreliable\n")
+
+
+NON_PD_WARNING = (
+    "warning: sample matrix is not positive definite; the fit maximizes the likelihood "
+    "formula as given\n"
+)
+
+
+class TestWarningLines:
+    """Warnings reach stderr as one ``warning: <message>`` line per distinct
+    message, in order; the output document is the one ``ct_run`` gives."""
+
+    @pytest.mark.parametrize(
+        "corr, n, err",
+        [(np.round(pearson_correlation(philox(0).standard_normal((5, 8))), 6), 5,
+          rank_warning(5, 8) + NON_PD_WARNING),
+         (np.array([[1.0, 0.9, 0.9, -0.9], [0.9, 1.0, 0.9, 0.9],
+                    [0.9, 0.9, 1.0, 0.9], [-0.9, 0.9, 0.9, 1.0]]), 100,
+          NON_PD_WARNING)],
+        ids=["n-below-p", "non-pd"],
+    )
+    def test_fit_bic(self, tmp_path, capsys, corr, n, err):
+        np.fill_diagonal(corr, 1.0)
+        src = tmp_path / "corr.json"
+        save_json(src, {"correlation": corr, "n": n})
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(src), "--select", "bic", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+        with pytest.warns(NonPDSampleWarning):
+            want = ct_run(corr, n, CtConfig()).to_json_dict()
+        timings = json.loads(out.read_text())["timings_s"]
+        assert timings.keys() == want["timings_s"].keys()
+        want.update(p=corr.shape[0], n=n, timings_s=timings)
+        assert out.read_text() == dumps_json(want) + "\n"
+
+
+    def test_bench_workers_warnings_reach_stderr(self, tmp_path, capsys):
+        errs = []
+        for jobs in ("1", "2"):
+            assert cli.main(["bench", "low", "--d", "1", "--children", "3", "--n", "2",
+                             "--reps", "2", "--jobs", jobs,
+                             "--out-json", str(tmp_path / f"a{jobs}.json"),
+                             "--out-csv", str(tmp_path / f"a{jobs}.csv")]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == [rank_warning(2, 3) + NON_PD_WARNING] * 2
+
+    def test_error_filter_still_raises(self, workspace, capsys, monkeypatch):
+        _, _, data = workspace
+        monkeypatch.setattr(cli, "ct_run", lambda *a, **k: warnings.warn("x", RuntimeWarning))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["fit", str(data)]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeWarning: x\n"
+
+
+def _written(argv, out):
+    """The document that ``argv`` writes to ``out``."""
+    assert cli.main(argv) == 0
+    return json.loads(out.read_text())
+
+
+def _read_back(doc, path, argv):
+    """``doc`` as saved to ``path``, checked to be read by the command ``argv``."""
+    save_json(path, doc)
+    assert cli.main(argv) == 0
+    return json.loads(path.read_text())
+
+
+#: Every shipped schema -> a document the package writes or reads, built
+#: from ``(model path, data path, scratch dir)``.
+SCHEMA_DOCUMENTS = {
+    "aggregate": lambda model, data, tmp: _written(
+        ["bench", "low", "--reps", "1", "--n", "100", "--select", "min-hd",
+         "--out-json", str(tmp / "agg.json"), "--out-csv", str(tmp / "agg.csv")],
+        tmp / "agg.json"),
+    "check_report": lambda model, data, tmp: _written(
+        ["check", str(model), "--n-grid", "100,1000", "--out", str(tmp / "chk.json")],
+        tmp / "chk.json"),
+    "cliques": lambda model, data, tmp: _written(
+        ["cliques", str(data), "--tau", "0.3", "--out", str(tmp / "clq.json")],
+        tmp / "clq.json"),
+    "corr": lambda model, data, tmp: _read_back(
+        {"correlation": pearson_correlation(read_data_csv(str(data))[0]).tolist(), "n": 400},
+        tmp / "corr.json", ["fit", str(tmp / "corr.json"), "--select", "none"]),
+    "ct_result": lambda model, data, tmp: _written(
+        ["fit", str(data), "--select", "bic", "--out", str(tmp / "fit.json")],
+        tmp / "fit.json"),
+    "metric_report": lambda model, data, tmp: _written(
+        ["evaluate", str(model), str(model), "--out", str(tmp / "hd.json")],
+        tmp / "hd.json"),
+    "model": lambda model, data, tmp: json.loads(model.read_text()),
+    "structure": lambda model, data, tmp: _read_back(
+        FactorParams.from_json_dict(json.loads(model.read_text())).structure().to_json_dict(),
+        tmp / "structure.json", ["evaluate", str(tmp / "structure.json"), str(model)]),
+}
+
+
+class TestShippedSchemas:
+    def test_every_schema_has_a_document(self):
+        shipped = resources.files("ctfactor").joinpath("schemas").iterdir()
+        names = {p.name.removesuffix(".schema.json") for p in shipped}
+        assert set(SCHEMA_DOCUMENTS) == names
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_DOCUMENTS))
+    def test_document_validates(self, workspace, tmp_path, capsys, name):
+        _, model, data = workspace
+        validate(SCHEMA_DOCUMENTS[name](model, data, tmp_path), name)

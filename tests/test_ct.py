@@ -1,5 +1,6 @@
 """Threshold sweep orchestration and model selection."""
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -49,6 +50,14 @@ class TestCtConfig:
     def test_thresholds_sorted_and_deduped(self):
         cfg = CtConfig(thresholds=(0.7, 0.1, 0.7, 0.4))
         assert cfg.thresholds == (0.1, 0.4, 0.7)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match=r"^seed must be non-negative, got -1$"):
+            CtConfig(selection="none", seed=-1)
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(CtConfig)]
+        assert names == ["thresholds", "selection", "truth", "seed"]
 
 
 class TestDedupe:

@@ -12,7 +12,7 @@ from ctfactor import (
     structure_from_cliques,
 )
 from ctfactor.errors import DimensionMismatch, DomainError
-from ctfactor.numerics import RngState
+from ctfactor.numerics import philox
 from oracles import TooLarge, brute_force_independent_cliques, is_clique, neighborhood
 
 
@@ -138,7 +138,7 @@ class TestIndependentMaximalCliques:
         assert [sorted(u) for u in out.unique_members] == [[0, 1], [3, 4]]
 
     def test_matches_brute_force_on_random_graphs(self):
-        gen = RngState(202).generator
+        gen = philox(202)
         for _ in range(300):
             p = int(gen.integers(2, 13))
             density = 0.1 + 0.8 * gen.random()
@@ -156,7 +156,7 @@ class TestIndependentMaximalCliques:
             ]
 
     def test_unique_member_neighborhood_is_its_clique(self):
-        gen = RngState(203).generator
+        gen = philox(203)
         for _ in range(50):
             p = int(gen.integers(3, 12))
             corr = np.zeros((p, p))
@@ -193,7 +193,7 @@ class TestStructureFromCliques:
 
     def test_passes_the_checked_constructor(self):
         # built without Structure's checks: the same value they would give
-        gen = RngState(204).generator
+        gen = philox(204)
         for _ in range(100):
             p = int(gen.integers(1, 30))
             corr = np.zeros((p, p))

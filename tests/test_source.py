@@ -1,11 +1,15 @@
-"""Source hygiene: every package module uses each name it imports."""
+"""Source hygiene: every package module uses each name it imports, and
+the numerical policy (tolerances, floors, streams) is not a parameter."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import ctfactor
+from ctfactor.io import write_data_csv
+from ctfactor.numerics import as_sym_matrix
 
 MODULES = sorted(
     path for path in Path(ctfactor.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -42,3 +46,22 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: Functions whose tolerances and options are module constants, with
+#: their parameters.
+POLICY_FREE = [
+    (as_sym_matrix, ["mat", "name"]),
+    (ctfactor.cholesky, ["mat"]),
+    (ctfactor.logdet_pd, ["mat"]),
+    (ctfactor.mvn_sample, ["sigma", "n", "rng"]),
+    (ctfactor.rotational_uniqueness_check, ["loadings"]),
+    (ctfactor.sample_covariance, ["data"]),
+    (write_data_csv, ["path", "data"]),
+    (ctfactor.gen_ucc_violation, ["spec"]),
+]
+
+
+@pytest.mark.parametrize("fn, params", POLICY_FREE, ids=[fn.__name__ for fn, _ in POLICY_FREE])
+def test_policy_is_not_a_parameter(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
