@@ -8,12 +8,15 @@ clique (a unique member), and it equals the closed neighborhood of any of
 its unique members. That characterization gives a quadratic-time search:
 test each vertex's closed neighborhood for cliqueness.
 
-The search here does exactly that on bit-packed closed neighborhoods
-(``p / 8`` bytes per row). A closed neighborhood ``N[i]`` is a clique
-exactly when every member ``j`` has ``N[j] ⊇ N[i]``, which is one AND per
-member row. Equal packed rows share one verdict, and a neighborhood with a
-member whose closed neighborhood is smaller is rejected before any row is
-compared.
+Few rows need a real test. A neighborhood of at most two vertices is
+always a clique, one with a member whose neighborhood is smaller never is,
+and a vertex whose smallest neighbor has a neighborhood of the same size
+shares that neighbor's verdict. The rows left are tested in blocks of
+``_TILE`` rows of one size ``s``: small neighborhoods check every member
+pair, large ones check ``N[j] ⊇ N[i]`` for each member ``j`` on
+bit-packed rows (``p / 8`` bytes each). Gathers are chunked to about
+``_GATHER_BYTES``, so the search's temporaries stay bounded whatever the
+graph.
 
 Validating the matrix, taking its symmetric absolute value and
 thresholding are separate steps, so a sweep over many thresholds does the
@@ -37,9 +40,14 @@ __all__ = [
     "structure_from_cliques",
 ]
 
-#: Rows per tile where a matrix meets its transpose: a row tile and the
-#: matching column tile stay in cache, which a whole ``arr.T`` does not.
+#: Rows per tile where a matrix meets its transpose (a row tile and the
+#: matching column tile stay in cache, which a whole ``arr.T`` does not),
+#: and per block of the clique search.
 _TILE = 128
+
+#: Bytes a clique test gathers at once, so its temporaries do not grow
+#: with the neighborhoods it tests.
+_GATHER_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -148,43 +156,106 @@ def _threshold(absr, tau):
 def independent_maximal_cliques(graph):
     """Find all independent maximal cliques via closed neighborhoods.
 
-    Scans each vertex once: the vertex's closed neighborhood is an
-    independent maximal clique exactly when it is a clique, and the
-    vertices generating the same clique are precisely its unique members.
-    Runs in roughly the sum of degrees times ``p / 8`` bytes.
+    A vertex's closed neighborhood ``N[i]`` is an independent maximal
+    clique exactly when it is a clique, and the vertices generating the
+    same clique are precisely its unique members. With ``m = min N[i]``,
+    four exact rules give every verdict:
+
+    - ``|N[i]| <= 2``: a clique.
+    - A member with a smaller closed neighborhood: not a clique.
+    - ``|N[m]| == |N[i]|`` and ``m != i``: a clique exactly when ``N[m]``
+      is one, and then ``N[i] == N[m]``.
+    - Otherwise (``m == i`` or ``|N[m]| > |N[i]|``) the row is tested.
+      Rows of ``s`` members go through in blocks of ``_TILE``; a block
+      checks every member pair when ``s * s <= 8 p`` and ``N[j] ⊇ N[i]``
+      for every member ``j`` on bit-packed rows otherwise, in gathers of
+      about ``_GATHER_BYTES``.
+
+    A clique's unique members are its members with a closed neighborhood
+    of its own size. Each clique vertex is grouped under the smallest of
+    them, so the groups come out in ``CliqueSet`` order.
     """
-    closed = graph.closed
-    packed = np.packbits(closed, axis=1)
+    closed, p = graph.closed, graph.p
     sizes = np.count_nonzero(closed, axis=1)
-    verdict_by_key = {}
+    first = np.empty(p, dtype=np.intp)
+    for lo in range(0, p, _TILE):
+        hi = lo + _TILE
+        # min N[i] <= i, so the tile's columns end at its diagonal; argmax
+        # copies a read-only matrix, so it gets one tile at a time
+        first[lo:hi] = closed[lo:hi, :hi].argmax(axis=1)
+    vertices = np.arange(p)
+    small = sizes <= 2
+    same = sizes[first] == sizes
+    clique = small.copy()
+    # a clique vertex's group is its smallest member of the same size: m
+    # when |N[m]| == |N[i]|, else i itself, or found by the test below
+    key = np.where(same, first, vertices)
+    tested = np.flatnonzero(~small & ((first == vertices) | (sizes[first] > sizes)))
+    tested_sizes = sizes[tested]
+    packed = None
+    if tested.size and tested_sizes.max() ** 2 > 8 * p:
+        packed = np.packbits(closed, axis=1)
+    for s in np.unique(tested_sizes).tolist():
+        group = tested[tested_sizes == s]
+        for lo in range(0, group.size, _TILE):
+            rows = group[lo : lo + _TILE]
+            nb = np.flatnonzero(closed[rows].ravel())
+            nb %= p
+            nb = nb.reshape(rows.size, s)
+            no_smaller = sizes[nb].min(axis=1) == s
+            rows, nb = rows[no_smaller], nb[no_smaller]
+            ok = _are_cliques(closed, packed, rows, nb)
+            rows, nb = rows[ok], nb[ok]
+            clique[rows] = True
+            key[rows] = np.where(sizes[nb] == s, nb, p).min(axis=1)
+    # N[m] was tested here when m == min N[m]; otherwise it is no clique
+    derived = ~small & same & (first != vertices)
+    clique[derived] = clique[first[derived]]
+    members = np.flatnonzero(clique)
+    members = members[np.argsort(key[members], kind="stable")]
+    heads, counts = np.unique(key[members], return_counts=True)
     cliques = []
-    members_of = []
-    for i in range(graph.p):
-        row = packed[i]
-        key = row.tobytes()
-        hit = verdict_by_key.get(key, -1)
-        if hit != -1:
-            if hit is not None:
-                members_of[hit].append(i)
-            continue
-        members = np.flatnonzero(closed[i])
-        # N[i] is a clique iff every member j has N[j] ⊇ N[i]; a member
-        # with a smaller closed neighborhood fails without a comparison
-        if sizes[members].min() < sizes[i] or not np.all(
-            (packed[members] & row) == row
-        ):
-            verdict_by_key[key] = None
-            continue
-        verdict_by_key[key] = len(cliques)
-        cliques.append(frozenset(int(v) for v in members))
-        members_of.append([i])
-    # vertices are scanned in order, so cliques come by smallest unique member
+    for lo in range(0, heads.size, _TILE):
+        rows = heads[lo : lo + _TILE]
+        flat = np.flatnonzero(closed[rows].ravel()) % p
+        cliques += _frozensets(flat.tolist(), np.cumsum(sizes[rows]).tolist())
     return CliqueSet(
-        p=graph.p,
+        p=p,
         tau=graph.tau,
         cliques=tuple(cliques),
-        unique_members=tuple(frozenset(m) for m in members_of),
+        unique_members=tuple(_frozensets(members.tolist(), np.cumsum(counts).tolist())),
     )
+
+
+def _frozensets(values, ends):
+    """``values[ends[k - 1]:ends[k]]`` as a frozenset for each ``k``, from 0."""
+    return [frozenset(values[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _are_cliques(closed, packed, rows, nb):
+    """Whether each ``N[rows[r]]``, with its members listed in ``nb[r]``, is a clique.
+
+    ``N[i]`` is a clique exactly when every member ``j`` has
+    ``N[j] ⊇ N[i]``. With ``s`` members that is ``s * s`` entries of
+    ``closed`` or ``s`` packed rows of ``p / 8`` bytes; the first is
+    cheaper up to ``s * s = 8 p``.
+    """
+    p, s = closed.shape[0], nb.shape[1]
+    pairs = s * s <= 8 * p
+    step = max(1, _GATHER_BYTES // (s * (s if pairs else packed.shape[1])))
+    ok = np.empty(rows.size, dtype=bool)
+    for lo in range(0, rows.size, step):
+        hi = lo + step
+        part = nb[lo:hi]
+        if pairs:
+            inside = closed[part[:, :, None], part[:, None, :]]
+            ok[lo:hi] = inside.reshape(part.shape[0], -1).all(axis=1)
+        else:
+            lacking = packed[part]
+            np.bitwise_not(lacking, out=lacking)
+            lacking &= packed[rows[lo:hi], None, :]  # bits of N[i] outside N[j]
+            ok[lo:hi] = ~lacking.reshape(part.shape[0], -1).any(axis=1)
+    return ok
 
 
 def structure_from_cliques(clique_set):

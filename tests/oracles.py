@@ -11,7 +11,9 @@ solve, and it scales to the sizes of the sparse metric's exactness tests.
 Graphs. ``brute_force_independent_cliques`` enumerates every maximal
 clique by Bron-Kerbosch with pivoting (Bron & Kerbosch 1973; Tomita et al.
 2006) and keeps those with a vertex in no other maximal clique; it is
-capped at 25 vertices. ``neighborhood`` and ``is_clique`` read a graph
+capped at 25 vertices. ``loop_independent_cliques`` is the package's
+search as it was before it was vectorised, a Python loop over the
+vertices with no size guard. ``neighborhood`` and ``is_clique`` read a graph
 directly. ``per_tau_sweep`` rebuilds and searches the graph at every
 threshold, as the sweep did before it became one pass.
 
@@ -216,6 +218,48 @@ def brute_force_independent_cliques(graph):
         tau=graph.tau,
         cliques=tuple(c for c, _ in kept),
         unique_members=tuple(u for _, u in kept),
+    )
+
+
+def loop_independent_cliques(graph):
+    """The clique search before it was vectorised: one vertex at a time.
+
+    Scans each vertex once: the vertex's closed neighborhood is an
+    independent maximal clique exactly when it is a clique, and the
+    vertices generating the same clique are precisely its unique members.
+    Runs in roughly the sum of degrees times ``p / 8`` bytes.
+    """
+    closed = graph.closed
+    packed = np.packbits(closed, axis=1)
+    sizes = np.count_nonzero(closed, axis=1)
+    verdict_by_key = {}
+    cliques = []
+    members_of = []
+    for i in range(graph.p):
+        row = packed[i]
+        key = row.tobytes()
+        hit = verdict_by_key.get(key, -1)
+        if hit != -1:
+            if hit is not None:
+                members_of[hit].append(i)
+            continue
+        members = np.flatnonzero(closed[i])
+        # N[i] is a clique iff every member j has N[j] ⊇ N[i]; a member
+        # with a smaller closed neighborhood fails without a comparison
+        if sizes[members].min() < sizes[i] or not np.all(
+            (packed[members] & row) == row
+        ):
+            verdict_by_key[key] = None
+            continue
+        verdict_by_key[key] = len(cliques)
+        cliques.append(frozenset(int(v) for v in members))
+        members_of.append([i])
+    # vertices are scanned in order, so cliques come by smallest unique member
+    return CliqueSet(
+        p=graph.p,
+        tau=graph.tau,
+        cliques=tuple(cliques),
+        unique_members=tuple(frozenset(m) for m in members_of),
     )
 
 

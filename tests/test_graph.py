@@ -1,19 +1,34 @@
 """Thresholded graphs and the independent maximal clique search."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ctfactor.graph as graph_module
 from ctfactor import (
     EmptyCliqueSet,
+    SimSpec,
     Structure,
+    ThresholdedGraph,
     build_graph,
+    gen_independent_cluster,
     independent_maximal_cliques,
     structure_from_cliques,
 )
 from ctfactor.errors import DimensionMismatch, DomainError
+from ctfactor.model import implied_correlation
 from ctfactor.numerics import philox
-from oracles import TooLarge, brute_force_independent_cliques, is_clique, neighborhood
+from oracles import (
+    TooLarge,
+    brute_force_independent_cliques,
+    is_clique,
+    loop_independent_cliques,
+    neighborhood,
+)
 
 
 def edge_list(graph):
@@ -169,6 +184,139 @@ class TestIndependentMaximalCliques:
             for clique, members in zip(out.cliques, out.unique_members):
                 for v in members:
                     assert neighborhood(g, v) == clique
+
+
+@st.composite
+def search_graphs(draw):
+    """A graph on 1 to 200 vertices, a row tile and a gather budget.
+
+    Sparse random graphs give many closed neighbourhoods of at most two
+    vertices; denser ones give vertices whose smallest member has a
+    neighbourhood of the same size but other members. Disjoint cliques
+    have glue vertices joined to parts of two of them. Complete graphs
+    lack up to eight edges (none: complete). Large cliques and
+    near-complete graphs have neighbourhoods of ``s`` members with
+    ``s * s > 8 p``. Small tiles and budgets split the tested rows into
+    many blocks and each block's gathers into many chunks.
+    """
+    p = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(("random", "blocks", "near-complete", "empty")))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        adj = gen.random((p, p)) < draw(st.sampled_from((0.005, 0.02, 0.1, 0.5, 0.9)))
+    elif kind == "blocks":
+        labels = np.searchsorted(
+            np.sort(gen.integers(0, p, size=draw(st.integers(0, 12)))), np.arange(p), side="right"
+        )
+        adj = labels[:, None] == labels[None, :]
+        for _ in range(draw(st.integers(0, 6))):
+            glue = gen.integers(p)
+            joined = np.isin(labels, gen.integers(0, labels.max() + 1, size=2))
+            joined &= gen.random(p) < draw(st.sampled_from((0.5, 1.0)))
+            adj[glue] |= joined
+            adj[:, glue] |= joined
+    elif kind == "near-complete":
+        adj = np.ones((p, p), dtype=bool)
+        missing = gen.integers(0, p, size=(draw(st.integers(0, 8)), 2))
+        adj[missing[:, 0], missing[:, 1]] = False
+    else:
+        adj = np.zeros((p, p), dtype=bool)
+    adj = np.triu(adj, k=1)
+    adj |= adj.T
+    np.fill_diagonal(adj, True)
+    perm = gen.permutation(p)
+    closed = adj[np.ix_(perm, perm)]
+    closed.flags.writeable = False
+    tile = draw(st.sampled_from((1, 2, 7, graph_module._TILE)))
+    budget = draw(st.sampled_from((1, 64, 4096, graph_module._GATHER_BYTES)))
+    return ThresholdedGraph(p=p, tau=0.5, closed=closed), tile, budget
+
+
+def assert_same_cliques(fast, slow):
+    assert (fast.p, fast.tau) == (slow.p, slow.tau)
+    assert fast.cliques == slow.cliques
+    assert fast.unique_members == slow.unique_members
+    assert {type(v) for s in fast.cliques + fast.unique_members for v in s} <= {int}
+
+
+class TestVectorisedSearchMatchesLoop:
+    """The vectorised search returns the per-vertex loop's ``CliqueSet``."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(search_graphs())
+    def test_matches_loop(self, case):
+        graph, tile, budget = case
+        with mock.patch.object(graph_module, "_TILE", tile), mock.patch.object(
+            graph_module, "_GATHER_BYTES", budget
+        ):
+            fast = independent_maximal_cliques(graph)
+        assert_same_cliques(fast, loop_independent_cliques(graph))
+
+
+@pytest.fixture(scope="module")
+def block_model():
+    """Population correlation of 80 factors of 25 children, and the child sets.
+
+    Loadings on [0.6, 0.8] and an identity factor correlation put every
+    within-block |r| in [0.36, 0.64] and every other one at 0. The
+    variables are shuffled, so no block is a run of indices.
+    """
+    theta = gen_independent_cluster(SimSpec(d=80, children_per_factor=25, seed=0))
+    perm = philox(0).permutation(theta.p)
+    corr = implied_correlation(theta)[np.ix_(perm, perm)]
+    loads = theta.loadings[perm] != 0.0
+    blocks = [frozenset(np.flatnonzero(loads[:, k]).tolist()) for k in range(theta.d)]
+    return corr, sorted(blocks, key=min)
+
+
+def near_complete_graph(p=2000, missing=39):
+    """The complete graph on ``p`` vertices less ``missing`` disjoint edges."""
+    ends = philox(1).permutation(p)[: 2 * missing].reshape(missing, 2)
+    corr = np.full((p, p), 0.5)
+    corr[ends[:, 0], ends[:, 1]] = corr[ends[:, 1], ends[:, 0]] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return build_graph(corr, 0.25)
+
+
+class TestThousandsOfVertices:
+    """Searches at p = 2000 on graphs that have cliques, and their memory."""
+
+    def test_gap_tau_gives_the_blocks(self, block_model):
+        corr, blocks = block_model
+        out = independent_maximal_cliques(build_graph(corr, 0.2))
+        assert out.cliques == tuple(blocks)
+        assert out.unique_members == tuple(blocks)
+
+    def test_sparse_tau_matches_loop(self, block_model):
+        graph = build_graph(block_model[0], 0.5)
+        fast = independent_maximal_cliques(graph)
+        assert len(fast) > 80
+        assert_same_cliques(fast, loop_independent_cliques(graph))
+
+    def test_near_complete_matches_loop(self):
+        graph = near_complete_graph()
+        assert graph.edge_count() == 2000 * 1999 // 2 - 39
+        assert_same_cliques(independent_maximal_cliques(graph), loop_independent_cliques(graph))
+
+    @pytest.mark.parametrize("which", ["block-model", "near-complete"])
+    def test_peak_allocation_is_bounded(self, block_model, which):
+        # tested rows go through in tiles and gathers in chunks: the peaks
+        # read 1.2 MB and 5.8 MB, and 40.8 MB near-complete with one tile
+        # and one gather, against the bound of 8 MB
+        graph = build_graph(block_model[0], 0.5) if which == "block-model" else near_complete_graph()
+        tracemalloc.start()
+        try:
+            independent_maximal_cliques(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * graph.p**2, f"peak traced allocation {peak} bytes"
 
 
 class TestBruteForce:
