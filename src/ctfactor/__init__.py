@@ -17,7 +17,6 @@ from .errors import (
     EmptyCliqueSet,
     GenerationFailure,
     InvalidSpec,
-    InvalidVariance,
     MissingTruth,
     NonPDSampleWarning,
     NotPositiveDefinite,
@@ -80,7 +79,6 @@ __all__ = [
     "GenerationFailure",
     "HIGHDIM_PRESETS",
     "InvalidSpec",
-    "InvalidVariance",
     "MetricReport",
     "MissingTruth",
     "NonPDSampleWarning",

@@ -134,18 +134,34 @@ def _simulated_model(spec):
     return gen_independent_cluster(spec)
 
 
+def _add_model_flags(parser, phi_scale):
+    """The model flags that ``simulate`` and ``bench low`` share; only the
+    ``--phi-scale`` default differs."""
+    parser.add_argument("--d", type=int, default=3)
+    parser.add_argument("--children", type=int, default=5)
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--phi-scale", type=float, default=phi_scale)
+    parser.add_argument("--lambda-lo", type=float, default=0.6)
+    parser.add_argument("--lambda-hi", type=float, default=0.8)
+
+
+def _model_fields(args):
+    """``SimSpec`` fields of the model flags, all but ``seed``."""
+    return {
+        "d": args.d,
+        "children_per_factor": args.children,
+        "n": args.n,
+        "phi_scale": args.phi_scale,
+        "lambda_range": (args.lambda_lo, args.lambda_hi),
+    }
+
+
 def cmd_simulate(args):
+    fields = _model_fields(args)
     if args.preset:
-        shape = _preset_shape(args.preset)
-    else:
-        shape = {"d": args.d, "children_per_factor": args.children, "n": args.n}
-    spec = SimSpec(
-        **shape,
-        seed=args.seed,
-        phi_scale=args.phi_scale,
-        lambda_range=(args.lambda_lo, args.lambda_hi),
-        ucc_fraction=args.ucc_violation,
-    )
+        fields.update(_preset_shape(args.preset))
+    spec = SimSpec(**fields, seed=args.seed, ucc_fraction=args.ucc_violation)
     theta = _simulated_model(spec)
     data = sample_dataset(theta, spec.n, data_rng(spec))
     save_json(args.out_model, theta.to_json_dict())
@@ -305,7 +321,7 @@ def _run_replicates(args, spec, selection):
     return [row for row, _ in results]
 
 
-OUTCOME_KEYS = ("f1", "hd", "d_hat", "d_abs_rel_err", "models_evaluated")
+OUTCOME_KEYS = ("f1", "hd", "d_hat", "d_abs_rel_err", "models_evaluated", "d_exact")
 
 CSV_COLUMNS = (
     "replicate",
@@ -323,6 +339,7 @@ def _finish_bench(command, config_doc, rows, out_json, out_csv):
     good = [r for r in rows if "error" not in r]
     for r in good:
         r["d_abs_rel_err"] = abs(r["d_hat"] - r["d_true"]) / r["d_true"]
+        r["d_exact"] = 1.0 if r["d_hat"] == r["d_true"] else 0.0
     outcomes = {}
     for key in OUTCOME_KEYS:
         vals = [r[key] for r in good]
@@ -330,11 +347,6 @@ def _finish_bench(command, config_doc, rows, out_json, out_csv):
             "mean": float(np.mean(vals)) if vals else None,
             "sd": float(np.std(vals, ddof=1)) if len(vals) > 1 else None,
         }
-    exact = [1.0 if r["d_hat"] == r["d_true"] else 0.0 for r in good]
-    outcomes["d_exact"] = {
-        "mean": float(np.mean(exact)) if exact else None,
-        "sd": float(np.std(exact, ddof=1)) if len(exact) > 1 else None,
-    }
     aggregate = {
         "command": command,
         "config": config_doc,
@@ -356,14 +368,7 @@ def cmd_bench_low(args):
     selection = SELECTIONS[args.select]
     if selection == "none":
         raise DomainError("bench needs a selection rule (bic or min-hd)")
-    spec = {
-        "d": args.d,
-        "children_per_factor": args.children,
-        "n": args.n,
-        "phi_scale": args.phi_scale,
-        "lambda_range": (args.lambda_lo, args.lambda_hi),
-    }
-    rows = _run_replicates(args, spec, selection)
+    rows = _run_replicates(args, _model_fields(args), selection)
     config_doc = {
         "d": args.d,
         "children": args.children,
@@ -411,13 +416,7 @@ def build_parser():
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="write a benchmark model and dataset")
-    p_sim.add_argument("--d", type=int, default=3)
-    p_sim.add_argument("--children", type=int, default=5)
-    p_sim.add_argument("--n", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--phi-scale", type=float, default=0.0)
-    p_sim.add_argument("--lambda-lo", type=float, default=0.6)
-    p_sim.add_argument("--lambda-hi", type=float, default=0.8)
+    _add_model_flags(p_sim, phi_scale=0.0)
     p_sim.add_argument(
         "--ucc-violation",
         type=float,
@@ -454,13 +453,7 @@ def build_parser():
 
     p_low = bench_sub.add_parser("low", help="low-dimensional study with model selection")
     p_low.add_argument("--reps", type=int, default=50)
-    p_low.add_argument("--seed", type=int, default=0)
-    p_low.add_argument("--d", type=int, default=3)
-    p_low.add_argument("--children", type=int, default=5)
-    p_low.add_argument("--n", type=int, default=1000)
-    p_low.add_argument("--phi-scale", type=float, default=0.25)
-    p_low.add_argument("--lambda-lo", type=float, default=0.6)
-    p_low.add_argument("--lambda-hi", type=float, default=0.8)
+    _add_model_flags(p_low, phi_scale=0.25)
     p_low.add_argument("--select", choices=["bic", "min-hd"], default="bic")
     p_low.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_low.add_argument("--out-json", default="bench_low.json")

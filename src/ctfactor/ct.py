@@ -7,12 +7,13 @@ are merged, and, under likelihood selection, each distinct structure is
 fitted so the lowest BIC wins. Selection can also defer to an oracle
 structure (smallest Hamming distance) or be skipped.
 
-The sweep is one pass: the matrix is validated and its symmetric
-absolute value ``max(|r_ij|, |r_ji|)`` taken once. Thresholds ascend, so
-each graph's edge set lies inside the previous one's, and a threshold
-whose graph keeps the previous edge count keeps the previous graph; it
-reuses that graph's cliques and candidate (or its skip) without searching
-again.
+The sweep is one pass: the matrix is validated and made exactly
+symmetric once (``numerics.as_corr_matrix``) and its absolute value taken
+once, so the graphs threshold the same matrix that the saturated
+likelihood and every fit see. Thresholds ascend, so each graph's edge set
+lies inside the previous one's, and a threshold whose graph keeps the
+previous edge count keeps the previous graph; it reuses that graph's
+cliques and candidate (or its skip) without searching again.
 
 BIC selection fits candidates in ascending free-parameter count ``k`` and
 skips (prunes) any whose BIC could not reach the best one so far even at
@@ -32,14 +33,9 @@ import numpy as np
 
 from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
 from .estimate import count_free_params, fit_mle, saturated_loglik
-from .graph import (
-    _symmetric_abs,
-    _threshold,
-    _validate_corr,
-    independent_maximal_cliques,
-    structure_from_cliques,
-)
+from .graph import _threshold, independent_maximal_cliques, structure_from_cliques
 from .metrics import hamming_distance
+from .numerics import as_corr_matrix
 
 __all__ = ["CtConfig", "CtCandidate", "CtResult", "default_thresholds", "ct_run"]
 
@@ -187,7 +183,7 @@ def ct_run(corr, n, config=None):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     t0 = time.perf_counter()
-    corr = _validate_corr(corr)
+    corr = as_corr_matrix(corr, "correlation")
     p = corr.shape[0]
     if config.selection == "bic" and n < p:
         warnings.warn(
@@ -197,7 +193,7 @@ def ct_run(corr, n, config=None):
             stacklevel=2,
         )
 
-    absr = _symmetric_abs(corr)
+    absr = np.abs(corr)
     candidates = []
     by_key = {}
     skipped = []

@@ -37,10 +37,6 @@ class GenerationFailure(CtFactorError):
     """A randomized generator exhausted its redraw budget."""
 
 
-class InvalidVariance(CtFactorError):
-    """A generated model implies a non-positive residual variance."""
-
-
 class InvalidSpec(CtFactorError, ValueError):
     """A simulation spec contains out-of-range settings."""
 

@@ -18,19 +18,22 @@ bit-packed rows (``p / 8`` bytes each). Gathers are chunked to about
 ``_GATHER_BYTES``, so the search's temporaries stay bounded whatever the
 graph.
 
-Validating the matrix, taking its symmetric absolute value and
-thresholding are separate steps, so a sweep over many thresholds does the
-first two once (see ``ct.ct_run``). Each threshold then builds a single
-``p x p`` boolean matrix, the closed neighborhoods, which serves both the
-edge count and the search.
+The matrix is validated and made exactly symmetric by
+``numerics.as_corr_matrix``, the same matrix every fit sees; the graph
+thresholds its absolute value. Validation and thresholding are separate
+steps, so a sweep over many thresholds validates and takes ``|r|`` once
+(see ``ct.ct_run``). Each threshold then builds a single ``p x p``
+boolean matrix, the closed neighborhoods, which serves both the edge
+count and the search.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyCliqueSet
+from .errors import DomainError, EmptyCliqueSet
 from .model import Structure
+from .numerics import as_corr_matrix
 
 __all__ = [
     "ThresholdedGraph",
@@ -40,9 +43,7 @@ __all__ = [
     "structure_from_cliques",
 ]
 
-#: Rows per tile where a matrix meets its transpose (a row tile and the
-#: matching column tile stay in cache, which a whole ``arr.T`` does not),
-#: and per block of the clique search.
+#: Rows per block of the clique search.
 _TILE = 128
 
 #: Bytes a clique test gathers at once, so its temporaries do not grow
@@ -100,51 +101,20 @@ def build_graph(corr, tau):
     Parameters
     ----------
     corr : array_like
-        Non-empty symmetric matrix (within 1e-8) with unit diagonal
-        (within 1e-9). Positive definiteness is not required.
+        Non-empty matrix, symmetric within ``1e-8 * max(1, max|corr|)``,
+        with unit diagonal (within 1e-9); see
+        :func:`numerics.as_corr_matrix`. Positive definiteness is not
+        required.
     tau : float
-        Threshold in ``[0, 1]``. Pairs with ``|corr[i, j]| > tau``
-        (strictly) become edges.
+        Threshold in ``[0, 1]``. Pairs whose symmetric part has
+        ``|corr[i, j]| > tau`` (strictly) become edges.
     """
-    return _threshold(_symmetric_abs(_validate_corr(corr)), tau)
-
-
-def _validate_corr(corr):
-    """``corr`` as a float array, or an error for a matrix no graph is built from."""
-    arr = np.asarray(corr, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionMismatch(
-            f"correlation must be a non-empty square matrix, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("correlation contains non-finite entries")
-    for lo in range(0, arr.shape[0], _TILE):
-        hi = lo + _TILE
-        # |a_ij - a_ji| is symmetric, so the upper block triangle covers every pair
-        if np.abs(arr[lo:hi, lo:] - arr[lo:, lo:hi].T).max() > 1e-8:
-            raise DimensionMismatch("correlation matrix is not symmetric")
-    if np.abs(np.diag(arr) - 1.0).max() > 1e-9:
-        raise DomainError("correlation diagonal must be 1 (within 1e-9)")
-    return arr
-
-
-def _symmetric_abs(arr):
-    """``max(|r_ij|, |r_ji|)`` at both ``(i, j)`` and ``(j, i)``.
-
-    Thresholding this matrix makes an edge wherever either triangle exceeds
-    ``tau``, so every graph is symmetric even where ``r`` is symmetric only
-    within the validation tolerance.
-    """
-    absr = np.abs(arr)
-    for lo in range(0, absr.shape[0], _TILE):
-        hi = lo + _TILE
-        np.maximum(absr[lo:hi, lo:], absr[lo:, lo:hi].T, out=absr[lo:hi, lo:])
-        absr[lo:, lo:hi] = absr[lo:hi, lo:].T
-    return absr
+    return _threshold(np.abs(as_corr_matrix(corr, "correlation")), tau)
 
 
 def _threshold(absr, tau):
-    """Graph of ``absr > tau`` for ``absr`` from ``_symmetric_abs``."""
+    """Graph of ``absr > tau`` for the absolute value ``absr`` of a matrix
+    from :func:`numerics.as_corr_matrix`."""
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"tau must lie in [0, 1], got {tau}")
     closed = absr > tau

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .numerics import as_sym_matrix, cholesky
+from .numerics import as_corr_matrix, cholesky
 
 __all__ = [
     "FactorParams",
@@ -89,7 +89,7 @@ class FactorParams:
         lam = np.asarray(self.loadings, dtype=float)
         if lam.ndim != 2:
             raise DimensionMismatch(f"loadings must be 2-D, got shape {lam.shape}")
-        phi = as_sym_matrix(self.factor_corr, name="factor_corr")
+        phi = as_corr_matrix(self.factor_corr, "factor_corr")
         omega = np.asarray(self.error_var, dtype=float)
         p, d = lam.shape
         if p < 1 or d < 1:
@@ -108,8 +108,6 @@ class FactorParams:
             raise DomainError("error_var contains non-finite entries")
         if np.any(omega <= 0):
             raise DomainError("error variances must be strictly positive")
-        if np.abs(np.diag(phi) - 1.0).max() > 1e-9:
-            raise DomainError("factor_corr must have a unit diagonal")
         cholesky(phi)  # raises NotPositiveDefinite
         if np.any(~lam.any(axis=0)):
             empty = [int(j) for j in np.flatnonzero(~lam.any(axis=0))]

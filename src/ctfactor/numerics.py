@@ -1,9 +1,12 @@
 """Dense symmetric linear algebra and seeded random sampling.
 
-All matrices are plain ``numpy.ndarray`` objects in float64. Positive
-definiteness is always established through a Cholesky factorization whose
-pivots are checked against the relative tolerance ``DEFAULT_PIVOT_TOL``,
-so near-singular inputs fail loudly instead of propagating garbage.
+All matrices are plain ``numpy.ndarray`` objects in float64. They enter
+through :func:`as_sym_matrix` (:func:`as_corr_matrix` for correlations),
+the one place that checks symmetry and makes it exact, so the graphs and
+the fits of one input see the same matrix. Positive definiteness is
+always established through a Cholesky factorization whose pivots are
+checked against the relative tolerance ``DEFAULT_PIVOT_TOL``, so
+near-singular inputs fail loudly instead of propagating garbage.
 
 Randomness is drawn from :func:`philox`, a numpy ``Generator`` over the
 Philox 4x64 counter-based bit generator. The generator family is fixed so
@@ -16,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 __all__ = [
+    "as_corr_matrix",
     "as_sym_matrix",
     "cholesky",
     "logdet_pd",
@@ -25,6 +29,10 @@ __all__ = [
 
 #: Relative pivot tolerance below which a Cholesky pivot counts as zero.
 DEFAULT_PIVOT_TOL = 1e-12
+
+#: Rows per tile where a matrix meets its transpose: a row tile and the
+#: matching column tile stay in cache, which a whole ``arr.T`` does not.
+_TILE = 128
 
 
 def philox(seed):
@@ -36,17 +44,45 @@ def philox(seed):
 
 
 def as_sym_matrix(mat, name="matrix"):
-    """Validate and return ``mat`` as a square symmetric float64 array."""
+    """``mat`` as an exactly symmetric, non-empty, square float64 array.
+
+    Entries must be finite and symmetric within ``1e-8 * max(1, max|a|)``.
+    The check meets each row tile of ``_TILE`` with the matching column
+    tile, so its temporaries stay a few rows wide. An exactly symmetric
+    input comes back as it is, without a copy; any other comes back as
+    ``(a + a.T) / 2``. Every graph and every fit sees this one matrix.
+    """
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{name} must be square 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise DimensionMismatch(
+            f"{name} must be a non-empty square matrix, got shape {arr.shape}"
+        )
+    top, bottom = float(arr.max()), float(arr.min())
+    # max and min propagate NaN, so both are finite only when every entry is
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise DomainError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.abs(arr - arr.T).max() > 1e-8 * scale:
-        raise DimensionMismatch(f"{name} is not symmetric")
-    # exact symmetry downstream
-    return (arr + arr.T) / 2.0
+    tol = 1e-8 * max(1.0, top, -bottom)
+    worst = 0.0
+    for lo in range(0, arr.shape[0], _TILE):
+        hi = lo + _TILE
+        # |a_ij - a_ji| is symmetric, so the upper block triangle covers every pair
+        gap = arr[lo:hi, lo:] - arr[lo:, lo:hi].T
+        worst = max(worst, float(np.abs(gap, out=gap).max()))
+        if worst > tol:
+            raise DimensionMismatch(f"{name} is not symmetric")
+    if worst == 0.0:
+        return arr
+    sym = arr + arr.T
+    sym /= 2.0
+    return sym
+
+
+def as_corr_matrix(mat, name="matrix"):
+    """:func:`as_sym_matrix` of ``mat`` with a unit diagonal (within 1e-9)."""
+    arr = as_sym_matrix(mat, name)
+    if np.abs(arr.diagonal() - 1.0).max() > 1e-9:
+        raise DomainError(f"{name} must have a unit diagonal (within 1e-9)")
+    return arr
 
 
 def cholesky(mat):

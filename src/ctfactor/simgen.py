@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     GenerationFailure,
     InvalidSpec,
-    InvalidVariance,
     NotPositiveDefinite,
 )
 from .model import FactorParams
@@ -155,8 +154,6 @@ def gen_independent_cluster(spec):
     lam[np.arange(p), np.arange(p) // cpf] = values
     phi = gen_phi(d, spec.phi_scale, rng)
     omega = 1.0 - values**2
-    if np.any(omega <= 0):
-        raise InvalidVariance("a loading of magnitude >= 1 left no error variance")
     return FactorParams(loadings=lam, factor_corr=phi, error_var=omega)
 
 
@@ -195,8 +192,6 @@ def gen_ucc_violation(spec):
             lam[i, main[i]] = math.sqrt(5.0 * r2[i] / 6.0)
             lam[i, extra[i]] = math.sqrt(r2[i] / 6.0)
     omega = 1.0 - r2
-    if np.any(omega <= 0):
-        raise InvalidVariance("a communality of >= 1 left no error variance")
     return FactorParams(loadings=lam, factor_corr=np.eye(d), error_var=omega)
 
 

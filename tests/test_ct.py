@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ctfactor as cf
 import ctfactor.ct as ct_module
 import ctfactor.graph as graph_module
+import ctfactor.numerics as numerics_module
 from ctfactor import CtConfig, Structure, build_graph, ct_run, default_thresholds
 from ctfactor.errors import DimensionMismatch, DomainError, MissingTruth, NonPDSampleWarning
 from ctfactor.model import implied_correlation
@@ -197,11 +198,29 @@ class TestOnePassSweep:
     def test_validates_once(self, monkeypatch):
         calls = []
         for module in (ct_module, graph_module):
-            _count_calls(monkeypatch, module, "_validate_corr", calls)
+            _count_calls(monkeypatch, module, "as_corr_matrix", calls)
+        _count_calls(monkeypatch, numerics_module, "as_sym_matrix", calls)
         result = ct_run(self.blocks(), 100, CtConfig(selection="none"))
         assert len(CtConfig().thresholds) == 40
-        assert calls == ["_validate_corr"]
+        assert calls == ["as_corr_matrix", "as_sym_matrix"]
         assert result.models_evaluated == 2  # the two 4-cliques, then singletons
+
+    def test_sweeps_symmetric_part(self):
+        # a matrix symmetric only within tolerance sweeps as (r + r.T) / 2:
+        # its graphs, candidates and fits all come from that one matrix
+        r = np.eye(3)
+        r[0, 1] = r[1, 0] = 0.6
+        r[0, 2], r[2, 0] = 0.5 + 0.5e-8, 0.5
+        tau = 0.5 + 0.3e-8  # between the symmetric part and r[0, 2]
+        config = CtConfig(thresholds=(0.3, tau), selection="bic", seed=3)
+        got = ct_run(r, 100, config)
+        want = ct_run((r + r.T) / 2.0, 100, config)
+        assert [(c.structure, c.tau_values, c.bic, c.pruned) for c in got.candidates] == [
+            (c.structure, c.tau_values, c.bic, c.pruned) for c in want.candidates
+        ]
+        assert got.selected_index == want.selected_index
+        at_tau = [c for c in got.candidates if tau in c.tau_values]
+        assert sorted(sorted(k) for k in at_tau[0].structure.child_sets()) == [[0, 1], [2]]
 
     def test_equal_edge_counts_reuse_search(self, monkeypatch):
         corr = self.blocks()
@@ -249,7 +268,7 @@ def sweep_inputs(draw):
         corr += np.tril(gen.choice((-0.5e-8, 0.0, 0.5e-8), size=(p, p)), k=-1)
         corr += np.diag(gen.choice((-0.5e-9, 0.0, 0.5e-9), size=p))
     corr += np.eye(p)
-    return corr, tuple(taus), draw(st.sampled_from((1, 3, 8, graph_module._TILE)))
+    return corr, tuple(taus), draw(st.sampled_from((1, 3, 8, numerics_module._TILE)))
 
 
 class TestOnePassSweepMatchesRebuild:
@@ -264,7 +283,10 @@ class TestOnePassSweepMatchesRebuild:
     def test_matches_per_tau_rebuild(self, case):
         corr, taus, tile = case
         config = CtConfig(thresholds=taus, selection="none")
-        with mock.patch.object(graph_module, "_TILE", tile):
+        # the tile splits both the symmetry check and the clique search
+        with mock.patch.object(numerics_module, "_TILE", tile), mock.patch.object(
+            graph_module, "_TILE", tile
+        ):
             result = ct_run(corr, 100, config)
         cliques_at, ref_candidates, ref_skipped = per_tau_sweep(corr, config.thresholds)
         assert result.skipped_taus == ref_skipped

@@ -53,6 +53,16 @@ class TestBuildGraph:
         corr = np.array([[1.0, -0.8], [-0.8, 1.0]])
         assert edge_list(build_graph(corr, 0.5)) == [(0, 1)]
 
+    def test_thresholds_symmetric_part(self):
+        # graphs threshold (r + r.T) / 2, the matrix the fits see, not
+        # either triangle of an r that is symmetric only within tolerance
+        r = np.eye(3)
+        r[0, 1] = r[1, 0] = 0.6
+        r[0, 2], r[2, 0] = 0.5 + 0.5e-8, 0.5
+        tau = 0.5 + 0.3e-8  # above the symmetric part 0.5 + 0.25e-8, below r[0, 2]
+        assert edge_list(build_graph(r, tau)) == [(0, 1)]
+        assert edge_list(build_graph(r, 0.5)) == [(0, 1), (0, 2)]
+
     def test_rejects_asymmetric(self):
         bad = np.array([[1.0, 0.3], [0.6, 1.0]])
         with pytest.raises(DimensionMismatch):
@@ -102,13 +112,8 @@ class TestNeighborhoodAndClique:
 
 
 class TestTiledTranspose:
-    """The symmetry check and ``|r|`` symmetrisation run tile by tile."""
-
-    @pytest.mark.parametrize("p", [1, 127, 128, 129, 300])
-    def test_symmetric_abs_matches_whole_matrix(self, p):
-        a = np.random.default_rng(p).uniform(-1.0, 1.0, (p, p))
-        whole = np.maximum(np.abs(a), np.abs(a).T)
-        np.testing.assert_array_equal(graph_module._symmetric_abs(a), whole)
+    """``build_graph`` rejects an asymmetry in any tile of the symmetry
+    check, and thresholds the symmetric part of a matrix within tolerance."""
 
     @pytest.mark.parametrize("i, j", [(0, 299), (299, 0), (130, 129), (255, 256), (299, 298)])
     def test_asymmetry_found_in_every_tile(self, i, j):

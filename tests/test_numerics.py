@@ -1,12 +1,28 @@
 """Linear algebra and RNG plumbing."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from ctfactor import NotPositiveDefinite, Structure, cholesky, logdet_pd, mvn_sample, philox
+import ctfactor.numerics as numerics_module
+from ctfactor import (
+    CtConfig,
+    FactorParams,
+    NotPositiveDefinite,
+    Structure,
+    build_graph,
+    cholesky,
+    ct_run,
+    fit_mle,
+    logdet_pd,
+    mvn_sample,
+    philox,
+)
 from ctfactor.errors import DimensionMismatch, DomainError
-from ctfactor.estimate import _start_points
-from ctfactor.numerics import as_sym_matrix
+from ctfactor.estimate import _start_points, saturated_loglik
+from ctfactor.numerics import as_corr_matrix, as_sym_matrix
 
 
 class TestRngState:
@@ -57,6 +73,103 @@ class TestAsSymMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             as_sym_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), name="m")
+
+
+def within_tolerance(a):
+    """The whole-matrix form of the symmetry rule."""
+    return np.abs(a - a.T).max() <= 1e-8 * max(1.0, np.abs(a).max())
+
+
+class TestTiledSymmetry:
+    """The symmetry check meets row tiles with column tiles; its verdict and
+    bits are those of the whole-matrix rule and ``(a + a.T) / 2``."""
+
+    @pytest.mark.parametrize("tile", [1, 7, 128])
+    @pytest.mark.parametrize("p", [1, 127, 128, 129, 300])
+    def test_matches_whole_matrix(self, p, tile):
+        gen = np.random.default_rng(p)
+        half = gen.uniform(-2.0, 2.0, (p, p))
+        exact = half + half.T
+        scale = max(1.0, np.abs(exact).max())
+        near = exact + np.triu(gen.uniform(-0.9e-8, 0.9e-8, (p, p)), k=1) * scale
+        with mock.patch.object(numerics_module, "_TILE", tile):
+            assert as_sym_matrix(exact) is exact
+            for a in (exact, near):
+                assert within_tolerance(a)
+                np.testing.assert_array_equal(
+                    as_sym_matrix(a).view(np.uint64), ((a + a.T) / 2.0).view(np.uint64)
+                )
+            if p > 1:
+                far = near.copy()
+                i, j = gen.choice(p, size=2, replace=False)
+                far[i, j] = far[j, i] + 2e-8 * scale
+                assert not within_tolerance(far)
+                with pytest.raises(DimensionMismatch, match="^m is not symmetric$"):
+                    as_sym_matrix(far, "m")
+
+    @pytest.mark.parametrize("tile", [7, 128])
+    @pytest.mark.parametrize("i, j", [(0, 299), (299, 0), (130, 129), (255, 256), (299, 298)])
+    def test_asymmetry_found_in_every_tile(self, i, j, tile):
+        corr = np.eye(300)
+        corr[i, j] = 0.3 + 2e-8
+        corr[j, i] = 0.3
+        with mock.patch.object(numerics_module, "_TILE", tile):
+            with pytest.raises(DimensionMismatch):
+                as_corr_matrix(corr)
+            corr[i, j] = 0.3 + 0.5e-8
+            out = as_corr_matrix(corr)
+        assert out[i, j] == out[j, i] == (corr[i, j] + corr[j, i]) / 2.0
+        assert np.count_nonzero(out != corr) == 2
+
+    def test_peak_allocation_at_p2000(self):
+        # the sweep holds the input and |r|; validation adds a few row tiles
+        p = 2000
+        half = philox(0).uniform(-1.0, 1.0, (p, p))
+        a = half + half.T
+        del half
+        tracemalloc.start()
+        try:
+            out = as_sym_matrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is a
+        assert peak <= p * p * 8 / 4
+
+
+class TestAsCorrMatrix:
+    def test_unit_diagonal_within_1e9(self):
+        a = np.eye(2)
+        a[1, 1] = 1.0 + 0.5e-9
+        assert as_corr_matrix(a) is a
+        a[1, 1] = 1.0 + 2e-9
+        with pytest.raises(DomainError, match=r"^m must have a unit diagonal \(within 1e-9\)$"):
+            as_corr_matrix(a, "m")
+
+
+EMPTY = np.zeros((0, 0))
+
+
+class TestEmptyMatrix:
+    """A 0x0 matrix is a ``DimensionMismatch`` wherever a matrix is taken."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cholesky(EMPTY),
+            lambda: logdet_pd(EMPTY),
+            lambda: saturated_loglik(EMPTY, 10),
+            lambda: fit_mle(EMPTY, 10, Structure(p=1, d=1, support=frozenset({(0, 0)}))),
+            lambda: FactorParams(loadings=np.ones((1, 1)), factor_corr=EMPTY, error_var=np.ones(1)),
+            lambda: build_graph(EMPTY, 0.5),
+            lambda: ct_run(EMPTY, 10, CtConfig(selection="none")),
+        ],
+        ids=["cholesky", "logdet_pd", "saturated_loglik", "fit_mle", "FactorParams",
+             "build_graph", "ct_run"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(DimensionMismatch, match="must be a non-empty square matrix"):
+            call()
 
 
 class TestCholesky:

@@ -9,7 +9,7 @@ import pytest
 
 import ctfactor
 from ctfactor.io import write_data_csv
-from ctfactor.numerics import as_sym_matrix
+from ctfactor.numerics import as_corr_matrix, as_sym_matrix
 
 MODULES = sorted(
     path for path in Path(ctfactor.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -52,6 +52,7 @@ def test_no_unused_imports(path):
 #: their parameters.
 POLICY_FREE = [
     (as_sym_matrix, ["mat", "name"]),
+    (as_corr_matrix, ["mat", "name"]),
     (ctfactor.cholesky, ["mat"]),
     (ctfactor.logdet_pd, ["mat"]),
     (ctfactor.mvn_sample, ["sigma", "n", "rng"]),
