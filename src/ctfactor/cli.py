@@ -112,6 +112,8 @@ def cmd_fit(args):
         thresholds=tuple(taus), selection=selection, truth=truth, seed=args.seed
     )
     result = ct_run(corr, n, config)
+    if result.selected_converged is False:
+        warnings.warn("selected fit did not converge")
     doc = result.to_json_dict()
     doc["p"] = int(corr.shape[0])
     doc["n"] = int(n)

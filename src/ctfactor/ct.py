@@ -21,7 +21,10 @@ the saturated log-likelihood ``l_sat``, the ceiling of every fit: a
 candidate is pruned when ``-2 l_sat + k log n`` exceeds the best BIC
 strictly, so the selection equals that of fitting every candidate. The
 ceiling exists only for a positive definite sample matrix with ``n > p``;
-otherwise every candidate is fitted.
+otherwise every candidate is fitted, by EM alone (``estimate`` finishes a
+fit only under a ceiling). The one p x p factorization of the
+sample matrix behind ``l_sat`` also decides the not-positive-definite
+warning, given once per run; the fits do not factor it again.
 """
 
 import math
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
-from .estimate import count_free_params, fit_mle, saturated_loglik
+from .estimate import NON_PD_SAMPLE, count_free_params, fit_mle, saturated_loglik
 from .graph import _threshold, independent_maximal_cliques, structure_from_cliques
 from .metrics import hamming_distance
 from .numerics import as_corr_matrix
@@ -144,7 +147,8 @@ class CtResult:
     def selected_converged(self):
         """Whether the selected candidate's fit converged (None: no fitted selection).
 
-        False flags a BIC winner whose fit stopped at the iteration cap.
+        False flags a BIC winner whose fit met neither EM's tolerance nor
+        the finish's gradient test (``estimate.FitResult.converged``).
         """
         selected = self.selected
         if selected is None or selected.fit is None:
@@ -230,13 +234,15 @@ def ct_run(corr, n, config=None):
 
     t0 = time.perf_counter()
     models_fitted = 0
-    if config.selection == "bic":
-        bic_floor = None  # -2 l_sat: no candidate's BIC can fall below floor + k log n
-        if n > p:
-            try:
-                bic_floor = -2.0 * saturated_loglik(corr, n)
-            except NotPositiveDefinite:
-                pass
+    if config.selection == "bic" and candidates:
+        # one factorization of the sample matrix decides the warning and the ceiling
+        try:
+            l_sat = saturated_loglik(corr, n)
+        except NotPositiveDefinite:
+            l_sat = None
+            warnings.warn(NON_PD_SAMPLE, NonPDSampleWarning, stacklevel=2)
+        # -2 l_sat: no candidate's BIC can fall below floor + k log n
+        bic_floor = -2.0 * l_sat if l_sat is not None and n > p else None
         params = [count_free_params(c.structure) for c in candidates]
         best = math.inf
         for k in sorted(range(len(candidates)), key=lambda k: (params[k], k)):
@@ -246,7 +252,7 @@ def ct_run(corr, n, config=None):
                 continue
             models_fitted += 1
             try:
-                fit = fit_mle(corr, n, cand.structure, seed=config.seed + k)
+                fit = fit_mle(corr, n, cand.structure, seed=config.seed + k, l_sat=l_sat)
             except Exception as exc:  # a broken fit excludes the candidate only
                 cand.error = f"{type(exc).__name__}: {exc}"
                 continue

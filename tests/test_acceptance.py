@@ -96,9 +96,17 @@ def test_01_population_pipeline_exactly_recovers_thresholdable_models():
     assert elapsed < 10.0, f"200 population recoveries took {elapsed:.1f}s"
 
 
+#: ``selected_index`` of each test_02 draw, in draw order. EM alone chose
+#: these; finishing its capped fits by BFGS left every one of them.
+TEST_02_SELECTIONS = (
+    "45243446534423365334435335524353446244344333452515"
+    "67485786888863457677868578544875677847686377549767"
+)
+
+
 def test_02_bic_selection_recovers_structure_and_factor_count():
     t0 = time.perf_counter()
-    f1s, d_hats, n_models = [], [], []
+    f1s, d_hats, n_models, selected = [], [], [], []
     for base, phi_scale in ((1000, 0.25), (2000, 0.75)):
         for r in range(50):
             spec = SimSpec(
@@ -112,6 +120,7 @@ def test_02_bic_selection_recovers_structure_and_factor_count():
                 spec.n,
                 CtConfig(selection="bic", seed=spec.seed),
             )
+            selected.append(str(result.selected_index))
             report = hamming_distance(result.selected.structure, truth)
             f1s.append(report.f1)
             d_hats.append(report.d_hat)
@@ -124,6 +133,7 @@ def test_02_bic_selection_recovers_structure_and_factor_count():
         f"mean_f1={mean_f1:.4f} d3_rate={d_rate:.2f} "
         f"mean_models={mean_models:.1f} elapsed={elapsed:.0f}s"
     )
+    assert "".join(selected) == TEST_02_SELECTIONS
     assert mean_f1 >= 0.95, stats
     assert d_rate >= 0.95, stats
     assert mean_models <= 20.0, stats

@@ -11,7 +11,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from ctfactor import CtConfig, NonPDSampleWarning, cli, ct_run, philox
+import ctfactor.ct as ct_module
+from ctfactor import CtConfig, FitOptions, NonPDSampleWarning, cli, ct_run, philox
 from ctfactor.estimate import pearson_correlation
 from ctfactor.io import dumps_json, read_data_csv, save_json
 from ctfactor.model import FactorParams
@@ -580,6 +581,9 @@ NON_PD_WARNING = (
 )
 
 
+UNCONVERGED_WARNING = "warning: selected fit did not converge\n"
+
+
 class TestWarningLines:
     """Warnings reach stderr as one ``warning: <message>`` line per distinct
     message, in order; the output document is the one ``ct_run`` gives."""
@@ -590,7 +594,7 @@ class TestWarningLines:
           rank_warning(5, 8) + NON_PD_WARNING),
          (np.array([[1.0, 0.9, 0.9, -0.9], [0.9, 1.0, 0.9, 0.9],
                     [0.9, 0.9, 1.0, 0.9], [-0.9, 0.9, 0.9, 1.0]]), 100,
-          NON_PD_WARNING)],
+          NON_PD_WARNING + UNCONVERGED_WARNING)],
         ids=["n-below-p", "non-pd"],
     )
     def test_fit_bic(self, tmp_path, capsys, corr, n, err):
@@ -609,6 +613,21 @@ class TestWarningLines:
         want.update(p=corr.shape[0], n=n, timings_s=timings)
         assert out.read_text() == dumps_json(want) + "\n"
 
+    def test_unconverged_selection_warns(self, workspace, tmp_path, capsys, monkeypatch):
+        # fits capped after one iteration: the winner has not converged
+        _, _, data = workspace
+        real = ct_module.fit_mle
+        monkeypatch.setattr(ct_module, "fit_mle", lambda *a, **k: real(
+            *a, options=FitOptions(max_iterations=1), **k))
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(data), "--select", "bic", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == UNCONVERGED_WARNING
+        rows, _ = read_data_csv(str(data))
+        want = ct_run(pearson_correlation(rows), 400, CtConfig()).to_json_dict()
+        assert want["selected_converged"] is False
+        timings = json.loads(out.read_text())["timings_s"]
+        want.update(p=rows.shape[1], n=400, timings_s=timings)
+        assert out.read_text() == dumps_json(want) + "\n"
 
     def test_bench_workers_warnings_reach_stderr(self, tmp_path, capsys):
         errs = []

@@ -16,6 +16,7 @@ import ctfactor.graph as graph_module
 import ctfactor.numerics as numerics_module
 from ctfactor import CtConfig, Structure, build_graph, ct_run, default_thresholds
 from ctfactor.errors import DimensionMismatch, DomainError, MissingTruth, NonPDSampleWarning
+from ctfactor.estimate import NON_PD_SAMPLE
 from ctfactor.model import implied_correlation
 from ctfactor.simgen import data_rng
 from oracles import BRUTE_FORCE_MAX_VERTICES, brute_force_independent_cliques, per_tau_sweep
@@ -464,3 +465,45 @@ class TestBicPruning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             self.assert_fits_everything(bent, n)
+
+
+class TestOneSampleFactorization:
+    """A BIC run factors the p x p sample matrix once, for the ceiling and
+    the not-positive-definite warning alike; its fits do not again."""
+
+    @staticmethod
+    def count_factorizations(monkeypatch, p):
+        calls = []
+        real = numerics_module.cholesky
+
+        def counted(mat):
+            if np.shape(mat) == (p, p):
+                calls.append(p)
+            return real(mat)
+
+        monkeypatch.setattr(numerics_module, "cholesky", counted)
+        return calls
+
+    def test_once_per_bic_run(self, monkeypatch):
+        corr, n = acceptance_draw(2000, 0.75)
+        calls = self.count_factorizations(monkeypatch, corr.shape[0])
+        result = ct_run(corr, n, CtConfig(selection="bic", seed=2000))
+        assert result.models_fitted > 1
+        assert calls == [corr.shape[0]]
+
+    def test_direct_fit_still_checks(self, monkeypatch):
+        corr, n = acceptance_draw(2000, 0.75)
+        calls = self.count_factorizations(monkeypatch, corr.shape[0])
+        structure = Structure(p=15, d=3, support=frozenset((i, i // 5) for i in range(15)))
+        cf.fit_mle(corr, n, structure, seed=0)
+        assert calls == [corr.shape[0]]
+
+    def test_non_pd_warning_once_per_run(self):
+        bent, n = TestBicPruning.non_pd_draw()
+        taus = tuple(default_thresholds()[4:36:4])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ct_run(bent, n, CtConfig(thresholds=taus, selection="bic", seed=0))
+        assert result.models_fitted > 1
+        assert [str(w.message) for w in caught] == [NON_PD_SAMPLE]
+        assert caught[0].category is NonPDSampleWarning

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,13 @@ from ctfactor.errors import (
     NotPositiveDefinite,
 )
 from ctfactor.estimate import (
+    EM_HANDOVER,
+    FINISH_MAX_PARAMS,
+    FINISH_STEPS,
+    GRAD_TOL,
     OMEGA_FLOOR,
     _em_ascent,
+    _Finish,
     _per_restart,
     _row_classes,
     _start_points,
@@ -27,7 +33,7 @@ from ctfactor.estimate import (
     saturated_loglik,
 )
 from ctfactor.model import implied_covariance
-from ctfactor.numerics import philox
+from ctfactor.numerics import cholesky, philox
 from ctfactor.simgen import data_rng
 from oracles import gaussian_loglik
 
@@ -316,20 +322,33 @@ def assert_matches_oracle(s, n, structure, lam0, options):
     return batched
 
 
+def family_candidates():
+    """``(corr, n, [(seed, structure)])``: the candidates with d <= 5 of one
+    acceptance-family draw (seed 2000, phi_scale 0.75), each with the fit
+    seed ``ct_run`` gives it. They include over-factored ones that EM alone
+    runs to the iteration cap."""
+    spec = cf.SimSpec(d=3, children_per_factor=5, n=1000, seed=2000, phi_scale=0.75)
+    theta = cf.gen_independent_cluster(spec)
+    corr = pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec)))
+    sweep = ct_run(corr, spec.n, CtConfig(selection="none"))
+    return corr, spec.n, [
+        (spec.seed + k, cand.structure)
+        for k, cand in enumerate(sweep.candidates)
+        if cand.structure.d <= 5
+    ]
+
+
+def best_outcome(outcomes):
+    return max((out for out in outcomes if out is not None), key=lambda out: out[3][-1])
+
+
 class TestBatchedRestarts:
     def test_matches_sequential_oracle_on_sweep_candidates(self):
-        # every candidate of one acceptance-family draw, including the
-        # over-factored ones that run to the iteration cap
-        spec = cf.SimSpec(d=3, children_per_factor=5, n=1000, seed=2000, phi_scale=0.75)
-        theta = cf.gen_independent_cluster(spec)
-        corr = pearson_correlation(cf.sample_dataset(theta, spec.n, data_rng(spec)))
-        sweep = ct_run(corr, spec.n, CtConfig(selection="none"))
+        corr, n, candidates = family_candidates()
         capped = 0
-        for k, cand in enumerate(sweep.candidates):
-            if cand.structure.d > 5:
-                continue
-            lam0 = _start_points(cand.structure, 3, spec.seed + k)
-            outs = assert_matches_oracle(corr, spec.n, cand.structure, lam0, FitOptions())
+        for seed, structure in candidates:
+            lam0 = _start_points(structure, 3, seed)
+            outs = assert_matches_oracle(corr, n, structure, lam0, FitOptions())
             capped += sum(not out[4] for out in outs)
         assert capped > 0
 
@@ -358,13 +377,228 @@ class TestBatchedRestarts:
         assert np.array_equal(low[2], 2.0 * np.eye(2))
 
     def test_fit_picks_best_restart(self):
+        # the oracle runs each restart alone: sequential EM up to the
+        # hand-over, then the finish from where it stands; one fit ends
+        # within EM, the other (an over-factored candidate) in the finish
         theta, corr = sample_setup(seed=44)
-        structure = theta.structure()
-        fit = cf.fit_mle(corr, 800, structure, seed=5)
-        lam0 = _start_points(structure, 3, 5)
-        oracle = [sequential_em(corr, 800, _row_classes(structure), start, FitOptions())
-                  for start in lam0]
-        assert fit.loglik == pytest.approx(max(o[3][-1] for o in oracle), rel=1e-10, abs=0)
+        family_corr, family_n, candidates = family_candidates()
+        over = next((s, st) for s, st in candidates if st.d == 4)
+        for corr, n, (seed, structure), finished in (
+            (corr, 800, (5, theta.structure()), False),
+            (family_corr, family_n, over, True),
+        ):
+            fit = cf.fit_mle(corr, n, structure, seed=seed)
+            oracle = []
+            for start in _start_points(structure, 3, seed):
+                lam, phi, omega, path, converged, _ = sequential_em(
+                    corr, n, _row_classes(structure), start,
+                    FitOptions(max_iterations=EM_HANDOVER))
+                if not converged:
+                    finish = _Finish(corr, n, structure, saturated_loglik(corr, n))
+                    lam, phi, omega, steps, converged = finish.run(
+                        [(lam, phi, omega)], FINISH_STEPS)[0]
+                    path = path + steps
+                oracle.append(path[-1])
+            assert (fit.n_iterations > EM_HANDOVER) == finished
+            assert fit.loglik == pytest.approx(max(oracle), rel=1e-10, abs=0)
+
+
+def finish_point(d, seed=0):
+    """A finish, its sample matrix and a start ``(lam, phi, omega)`` with
+    ``d`` factors on 15 variables: variable 14 loads on nothing, and
+    variable 0 is a Heywood case with its error variance at the floor."""
+    corr, n, _ = family_candidates()
+    structure = Structure(p=15, d=d, support=frozenset((i, i * d // 14) for i in range(14)))
+    gen = philox(seed)
+    lam = np.zeros((15, d))
+    for i, j in structure.support:
+        lam[i, j] = gen.uniform(0.3, 0.8)
+    base = gen.standard_normal((d, d))
+    phi = base @ base.T + d * np.eye(d)
+    scale = np.sqrt(np.diag(phi))
+    phi = phi / np.outer(scale, scale)
+    np.fill_diagonal(phi, 1.0)
+    omega = gen.uniform(0.2, 0.8, size=15)
+    omega[0] = OMEGA_FLOOR
+    return _Finish(corr, n, structure, saturated_loglik(corr, n)), corr, n, (lam, phi, omega)
+
+
+def finish_loglik(finish, corr, n, x):
+    lam, phi, omega = finish.unpack(x)
+    return gaussian_loglik(lam @ phi @ lam.T + np.diag(omega), corr, n)
+
+
+class TestFinish:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_gradient_matches_central_differences(self, d):
+        finish, corr, n, start = finish_point(d)
+        x = finish.pack(*start)
+        assert np.isfinite(x).all()  # eta of the Heywood start stays finite
+        value, grad = (a[0] for a in finish.objective(x[None]))
+        assert -value == pytest.approx(finish_loglik(finish, corr, n, x), rel=1e-12)
+        numeric = np.empty_like(x)
+        for k in range(x.size):
+            step = np.zeros_like(x)
+            step[k] = 1e-6 * max(1.0, abs(x[k]))
+            numeric[k] = (finish_loglik(finish, corr, n, x + step)
+                          - finish_loglik(finish, corr, n, x - step)) / (2 * step[k])
+        assert np.abs(-grad - numeric).max() <= 1e-7 * np.abs(numeric).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_every_point_is_a_valid_model(self, d):
+        # unit-diagonal positive definite phi and omega at or above the
+        # floor at every point the finish can accept, also far out
+        # towards a singular phi or Sigma, where rounding puts up a wall
+        finish, _, _, start = finish_point(d, seed=1)
+        x0 = finish.pack(*start)
+        gen = philox(2)
+        accepted = 0
+        for spread in (1.0, 3.0, 30.0, 300.0):
+            x = x0 + spread * gen.standard_normal(x0.size)
+            x[-15:] = np.clip(x[-15:], -700.0, 5.0)
+            lam, phi, omega = finish.unpack(x)
+            assert np.array_equal(np.diag(phi), np.ones(d))
+            assert np.array_equal(phi, phi.T)
+            assert omega.min() >= OMEGA_FLOOR
+            value, grad = (a[0] for a in finish.objective(x[None]))
+            if value < math.inf:
+                cholesky(phi)
+                accepted += 1
+            else:
+                assert not grad.any()
+        assert accepted >= 2
+
+    def test_pack_inverts_unpack(self):
+        finish, _, _, start = finish_point(5, seed=3)
+        lam, phi, omega = start
+        omega = omega.copy()
+        omega[0] = 0.3
+        got = finish.unpack(finish.pack(lam, phi, omega))
+        for a, b in zip(got, (lam, phi, omega)):
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_overflow_is_a_wall_without_warnings(self):
+        finish, _, _, start = finish_point(2)
+        x = finish.pack(*start)
+        x[-1] = 800.0  # exp(eta) overflows
+        value, grad = finish.objective(x[None])
+        assert value[0] == math.inf and not grad.any()
+
+
+class TestFinishContract:
+    """The finish's promises on the seed-2000 acceptance-family candidates."""
+
+    def test_fits_keep_or_gain_over_em_alone(self):
+        corr, n, candidates = family_candidates()
+        kinds = {"early": 0, "later": 0, "capped": 0}
+        for seed, structure in candidates:
+            lam0 = _start_points(structure, 3, seed)
+            em_only = _em_ascent(corr, n, _row_classes(structure), lam0, FitOptions())
+            head = best_outcome(em_only)
+            fit = cf.fit_mle(corr, n, structure, seed=seed)
+            if all(out[4] and out[5] <= EM_HANDOVER for out in em_only):
+                # converged before the hand-over: the EM-only fit, bit for bit
+                kinds["early"] += 1
+                assert fit.loglik_path == tuple(head[3])
+                assert fit.n_iterations == head[5] and fit.converged
+            elif head[4]:
+                kinds["later"] += 1
+                k = cf.count_free_params(structure)
+                assert fit.bic == pytest.approx(cf.bic_value(head[3][-1], k, n), rel=1e-8, abs=0)
+            else:
+                # capped under EM alone: only gains on the sequential oracle
+                kinds["capped"] += 1
+                oracle = [sequential_em(corr, n, _row_classes(structure), start, FitOptions())
+                          for start in lam0]
+                assert fit.loglik >= max(out[3][-1] for out in oracle if out is not None)
+        assert all(kinds.values()), kinds
+
+    def test_path_model_and_convergence(self):
+        # every candidate, and the over-factored one cut short in the finish
+        corr, n, candidates = family_candidates()
+        over = next((s, st) for s, st in candidates if st.d == 4)
+        runs = [(s, st, FitOptions()) for s, st in candidates]
+        runs.append((*over, FitOptions(max_iterations=EM_HANDOVER + 5)))
+        finished = []
+        for seed, structure, options in runs:
+            fit = cf.fit_mle(corr, n, structure, seed=seed, options=options)
+            path = np.asarray(fit.loglik_path)
+            assert fit.n_iterations == path.size - 1
+            assert np.diff(path).min() > -1e-10
+            theta = fit.theta
+            assert theta.error_var.min() >= OMEGA_FLOOR
+            assert np.array_equal(np.diag(theta.factor_corr), np.ones(structure.d))
+            cholesky(theta.factor_corr)
+            if fit.n_iterations <= EM_HANDOVER:
+                assert fit.converged == (abs(path[-1] - path[-2]) < 1e-8)
+                continue
+            # a finished fit has converged iff its largest gradient entry is
+            # at most GRAD_TOL (up to the round-off of re-packing it)
+            finish = _Finish(corr, n, structure, saturated_loglik(corr, n))
+            x = finish.pack(theta.loadings, theta.factor_corr, theta.error_var)
+            gmax = np.abs(finish.objective(x[None])[1]).max()
+            assert gmax <= 2 * GRAD_TOL if fit.converged else gmax > GRAD_TOL / 2
+            finished.append(fit.converged)
+        assert True in finished and False in finished
+
+    @pytest.mark.parametrize("case", ["rank-deficient", "n-equals-p"])
+    def test_no_finish_without_ceiling(self, case):
+        # without a positive definite sample matrix and n > p the supremum
+        # can sit where error variances are at the floor, where the finish
+        # stalls: such fits are EM alone, bit for bit
+        if case == "rank-deficient":
+            corr = np.round(pearson_correlation(philox(0).standard_normal((5, 8))), 6)
+            n, seed = 5, 11
+            structure = Structure(p=8, d=8, support=frozenset((i, i) for i in range(8)))
+        else:
+            corr, _, candidates = family_candidates()
+            seed, structure = next((s, st) for s, st in candidates if st.d == 4)
+            n = structure.p
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPDSampleWarning)
+            fit = cf.fit_mle(corr, n, structure, seed=seed)
+        lam0 = _start_points(structure, 3, seed)
+        head = best_outcome(_em_ascent(corr, n, _row_classes(structure), lam0, FitOptions()))
+        assert fit.loglik_path == tuple(head[3]) and fit.converged == head[4]
+        assert fit.n_iterations == head[5] > EM_HANDOVER
+
+    def test_options_past_the_hand_over(self):
+        # a finish takes at most FINISH_STEPS steps and stops on GRAD_TOL,
+        # whatever max_iterations and loglik_tolerance would allow: under
+        # TIGHT every finished fit is the default one
+        corr, n, candidates = family_candidates()
+        ends = []
+        for seed, structure in candidates:
+            fit = cf.fit_mle(corr, n, structure, seed=seed)
+            if fit.n_iterations > EM_HANDOVER:
+                tight = cf.fit_mle(corr, n, structure, seed=seed, options=TIGHT)
+                assert tight.loglik_path == fit.loglik_path
+                assert tight.converged == fit.converged
+                ends.append((fit.n_iterations, fit.converged))
+        assert (EM_HANDOVER + FINISH_STEPS, False) in ends
+        assert any(converged for _, converged in ends), ends
+
+    def test_max_iterations_caps_both_phases(self):
+        corr, n, candidates = family_candidates()
+        seed, structure = next((s, st) for s, st in candidates if st.d == 4)
+        fit = cf.fit_mle(corr, n, structure, seed=seed, options=FitOptions(max_iterations=150))
+        assert fit.n_iterations == 150 and not fit.converged
+        fit = cf.fit_mle(corr, n, structure, seed=seed,
+                         options=FitOptions(max_iterations=EM_HANDOVER + 5))
+        assert fit.n_iterations == EM_HANDOVER + 5 and not fit.converged
+
+    def test_large_fits_run_em_alone(self):
+        # more free parameters than the finish takes: EM runs to the cap
+        data = philox(8).standard_normal((200, 40))
+        corr = pearson_correlation(data + data[:, :1])
+        structure = Structure(p=40, d=17, support=frozenset((i, i % 17) for i in range(40)))
+        assert cf.count_free_params(structure) > FINISH_MAX_PARAMS
+        options = FitOptions(max_iterations=EM_HANDOVER + 50)
+        fit = cf.fit_mle(corr, 200, structure, seed=0, options=options)
+        lam0 = _start_points(structure, 3, 0)
+        head = best_outcome(_em_ascent(corr, 200, _row_classes(structure), lam0, options))
+        assert fit.loglik_path == tuple(head[3])
+        assert fit.n_iterations == head[5] > EM_HANDOVER
 
 
 class TestSampleMoments:
