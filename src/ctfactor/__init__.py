@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
 )
 from .estimate import (
-    FitOptions,
     FitResult,
     bic_value,
     count_free_params,
@@ -74,7 +73,6 @@ __all__ = [
     "DomainError",
     "EmptyCliqueSet",
     "FactorParams",
-    "FitOptions",
     "FitResult",
     "GenerationFailure",
     "HIGHDIM_PRESETS",

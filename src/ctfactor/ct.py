@@ -17,14 +17,13 @@ cliques and candidate (or its skip) without searching again.
 
 BIC selection fits candidates in ascending free-parameter count ``k`` and
 skips (prunes) any whose BIC could not reach the best one so far even at
-the saturated log-likelihood ``l_sat``, the ceiling of every fit: a
-candidate is pruned when ``-2 l_sat + k log n`` exceeds the best BIC
-strictly, so the selection equals that of fitting every candidate. The
-ceiling exists only for a positive definite sample matrix with ``n > p``;
-otherwise every candidate is fitted, by EM alone (``estimate`` finishes a
-fit only under a ceiling). The one p x p factorization of the
-sample matrix behind ``l_sat`` also decides the not-positive-definite
-warning, given once per run; the fits do not factor it again.
+``estimate.loglik_ceiling``, the saturated log-likelihood that bounds
+every fit: a candidate is pruned when ``-2 ceiling + k log n`` exceeds
+the best BIC strictly, so the selection equals that of fitting every
+candidate. Without a ceiling every candidate is fitted, by EM alone. The
+ceiling is worked out once per run, with the one p x p factorization of
+the sample matrix and the not-positive-definite warning; every fit is
+handed it and factors nothing again.
 """
 
 import math
@@ -34,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingTruth, NonPDSampleWarning, NotPositiveDefinite
-from .estimate import NON_PD_SAMPLE, count_free_params, fit_mle, saturated_loglik
+from .errors import DomainError, MissingTruth, NonPDSampleWarning
+from .estimate import count_free_params, fit_mle, loglik_ceiling
 from .graph import _threshold, independent_maximal_cliques, structure_from_cliques
 from .metrics import hamming_distance
 from .numerics import as_corr_matrix
@@ -235,24 +234,18 @@ def ct_run(corr, n, config=None):
     t0 = time.perf_counter()
     models_fitted = 0
     if config.selection == "bic" and candidates:
-        # one factorization of the sample matrix decides the warning and the ceiling
-        try:
-            l_sat = saturated_loglik(corr, n)
-        except NotPositiveDefinite:
-            l_sat = None
-            warnings.warn(NON_PD_SAMPLE, NonPDSampleWarning, stacklevel=2)
-        # -2 l_sat: no candidate's BIC can fall below floor + k log n
-        bic_floor = -2.0 * l_sat if l_sat is not None and n > p else None
+        ceiling = loglik_ceiling(corr, n)
         params = [count_free_params(c.structure) for c in candidates]
         best = math.inf
         for k in sorted(range(len(candidates)), key=lambda k: (params[k], k)):
             cand = candidates[k]
-            if bic_floor is not None and bic_floor + params[k] * math.log(n) > best:
+            # no candidate's BIC can fall below -2 ceiling + k log n
+            if ceiling is not None and -2.0 * ceiling + params[k] * math.log(n) > best:
                 cand.pruned = True
                 continue
             models_fitted += 1
             try:
-                fit = fit_mle(corr, n, cand.structure, seed=config.seed + k, l_sat=l_sat)
+                fit = fit_mle(corr, n, cand.structure, seed=config.seed + k, ceiling=ceiling)
             except Exception as exc:  # a broken fit excludes the candidate only
                 cand.error = f"{type(exc).__name__}: {exc}"
                 continue

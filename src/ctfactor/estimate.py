@@ -15,10 +15,10 @@ Expectation-maximization over the latent factors comes first:
   into the loading columns, which leaves the implied covariance unchanged.
 
 Each M-step maximizes the complete-data objective exactly, so the
-log-likelihood is non-decreasing along the path up to round-off. Multiple
-restarts jitter the starting loadings and ascend together as one batch
-along a leading restart axis. A restart stops when ``|delta loglik|``
-falls under the tolerance. The restarts still running after
+log-likelihood is non-decreasing along the path up to round-off.
+``RESTARTS`` restarts jitter the starting loadings and ascend together as
+one batch along a leading restart axis. A restart stops when ``|delta
+loglik|`` falls under ``LOGLIK_TOL``. The restarts still running after
 ``EM_HANDOVER`` updates, where EM tends to crawl along a flat ridge, are
 finished by BFGS (at most ``FINISH_STEPS`` steps each, again as one batch)
 on unconstrained free parameters:
@@ -36,17 +36,14 @@ is analytic, ``dloglik / dSigma = (n / 2) (Sigma^-1 S Sigma^-1 -
 Sigma^-1)``, and the log-likelihood is non-decreasing along the finish
 too, up to round-off.
 
-The finish runs only where the sample matrix is positive definite with
-``n > p``, so that the saturated log-likelihood bounds every model (on a
-rank-deficient matrix the supremum can sit where error variances are at
-the floor, where the finish stalls), and only for fits with at most
-``FINISH_MAX_PARAMS`` free parameters. Other fits run EM to the cap.
+The finish runs only under a ceiling (``loglik_ceiling``) and for fits
+with at most ``FINISH_MAX_PARAMS`` free parameters; other fits run EM
+alone, to at most ``MAX_ITERATIONS`` updates.
 
-A fit has converged when EM met ``loglik_tolerance`` or the finish
-brought the largest gradient entry to ``GRAD_TOL``; the tolerance is
-EM's rule only. Its ``n_iterations`` counts EM updates plus finish steps,
-and ``loglik_path`` runs through both phases. The ``max_iterations``
-option caps that sum; a finish takes at most ``FINISH_STEPS`` of it.
+A fit has converged when EM met ``LOGLIK_TOL`` or the finish brought the
+largest gradient entry to ``GRAD_TOL``. Its ``n_iterations`` counts EM
+updates plus finish steps, and ``loglik_path`` runs through both phases.
+The fit's policy is these module constants; no caller sets it.
 
 The best final likelihood over restarts wins. Restart ``r > 0`` jitters
 with ``philox(seed + r)``. Column signs are normalized afterwards so that
@@ -56,7 +53,7 @@ back to the smallest-index child) loads non-negatively.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +68,9 @@ from .model import FactorParams, unique_children
 from .numerics import as_sym_matrix, logdet_pd, philox
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "saturated_loglik",
+    "loglik_ceiling",
     "fit_mle",
     "count_free_params",
     "bic_value",
@@ -91,11 +88,20 @@ NON_PD_SAMPLE = (
     "likelihood formula as given"
 )
 
+#: Most EM updates of a fit that EM runs alone.
+MAX_ITERATIONS = 2000
+
+#: EM stops a restart when its log-likelihood moves by less than this.
+LOGLIK_TOL = 1e-8
+
+#: Restarts per fit, ascending together as one batch.
+RESTARTS = 3
+
 #: EM updates after which a restart that has not converged goes to the finish.
 EM_HANDOVER = 200
 
-#: Most BFGS steps of one restart's finish, whatever ``max_iterations``
-#: leaves after EM: a boundary fit can crawl on for a thousand steps more.
+#: Most BFGS steps of one restart's finish: a boundary fit can crawl on for
+#: a thousand steps more.
 FINISH_STEPS = 300
 
 #: The finish has converged when every entry of the log-likelihood's
@@ -124,35 +130,13 @@ _PIVOT_WALL = 1e-10
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Knobs of the fit.
-
-    ``max_iterations`` caps EM updates plus finish steps, of which a
-    finish takes at most ``FINISH_STEPS``; ``loglik_tolerance`` stops EM
-    only (the finish stops on ``GRAD_TOL``).
-    """
-
-    max_iterations: int = 2000
-    loglik_tolerance: float = 1e-8
-    restarts: int = 3
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if self.loglik_tolerance <= 0:
-            raise DomainError("loglik_tolerance must be positive")
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Fitted parameters plus fit diagnostics.
 
     ``loglik_path`` is the log-likelihood of the winning restart after
     each EM update and each accepted finish step (first entry is the
     initial point); ``n_iterations`` counts those updates and steps.
-    ``converged`` is true when EM met the tolerance or the finish met
+    ``converged`` is true when EM met ``LOGLIK_TOL`` or the finish met
     ``GRAD_TOL``.
     """
 
@@ -181,6 +165,23 @@ def saturated_loglik(s_sample, n):
     s = as_sym_matrix(s_sample, name="s_sample")
     p = s.shape[0]
     return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet_pd(s) + p)
+
+
+def loglik_ceiling(s_sample, n):
+    """``saturated_loglik`` where it bounds every fit, else None.
+
+    The bound holds for a positive definite sample matrix with ``n > p``.
+    With ``n <= p`` the supremum can sit where error variances are at
+    ``OMEGA_FLOOR``, and a finish stalls there. A matrix that is not
+    positive definite also warns, on the line that called the caller
+    (``ct_run`` or ``fit_mle``).
+    """
+    try:
+        ceiling = saturated_loglik(s_sample, n)
+    except NotPositiveDefinite:
+        warnings.warn(NON_PD_SAMPLE, NonPDSampleWarning, stacklevel=3)
+        return None
+    return ceiling if n > len(s_sample) else None
 
 
 def count_free_params(structure):
@@ -252,14 +253,23 @@ def _per_restart(fn, *stacks):
         return np.stack(out)
 
 
-def _em_ascent(s, n, classes, lam0, options):
+def _support_index(structure):
+    """``(rows, cols)`` index vectors of the support in sorted order."""
+    support = sorted(structure.support)
+    return (
+        np.asarray([i for i, _ in support], dtype=int),
+        np.asarray([j for _, j in support], dtype=int),
+    )
+
+
+def _em_ascent(s, n, classes, lam0, cap):
     """EM from every starting loading matrix in ``lam0`` (restarts x p x d) at once.
 
     Returns one entry per restart: ``(lam, phi, omega, path, converged,
     updates)``, or ``None`` for a restart that broke down numerically (a
     failed factorization, a non-positive E[LL'] diagonal or a non-finite
     log-likelihood). Each restart
-    stops at its own tolerance or at the iteration cap and then leaves the
+    stops at ``LOGLIK_TOL`` or after ``cap`` updates and then leaves the
     batch, so its path is the one it would follow alone.
     """
     # Sigma = lam phi lam' + diag(omega) is never assembled: with
@@ -309,8 +319,8 @@ def _em_ascent(s, n, classes, lam0, options):
         if ll_prev is None:
             converged = np.zeros(live.size, dtype=bool)
         else:
-            converged = np.abs(ll - ll_prev) < options.loglik_tolerance
-        capped = updates >= options.max_iterations
+            converged = np.abs(ll - ll_prev) < LOGLIK_TOL
+        capped = updates >= cap
         for slot, r in enumerate(live):
             if not finite[slot]:
                 continue  # numerically broken restart: dropped, outcome stays None
@@ -379,9 +389,7 @@ class _Finish:
     def __init__(self, s, n, structure, ceiling):
         self.s = s
         self.n = n
-        support = sorted(structure.support)
-        self.rows = np.asarray([i for i, _ in support], dtype=int)
-        self.cols = np.asarray([j for _, j in support], dtype=int)
+        self.rows, self.cols = _support_index(structure)
         self.p, self.d = structure.p, structure.d
         self.low = np.tril_indices(self.d, -1)
         # the saturated log-likelihood bounds every model; an evaluation
@@ -563,8 +571,7 @@ def _start_points(structure, restarts, seed):
     """
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
-    rows = np.asarray([i for i, _ in sorted(structure.support)], dtype=int)
-    cols = np.asarray([j for _, j in sorted(structure.support)], dtype=int)
+    rows, cols = _support_index(structure)
     lam0 = np.zeros((restarts, structure.p, structure.d))
     lam0[:, rows, cols] = 0.5
     for r in range(1, restarts):
@@ -572,12 +579,14 @@ def _start_points(structure, restarts, seed):
     return lam0
 
 
-#: ``fit_mle``'s default ``l_sat``: work it out from the sample matrix.
+#: ``fit_mle``'s default ``ceiling``: work it out from the sample matrix.
 _FACTOR = object()
 
 
-def fit_mle(s_sample, n, structure, options=None, seed=0, *, l_sat=_FACTOR):
+def fit_mle(s_sample, n, structure, seed=0, *, ceiling=_FACTOR):
     """Maximum likelihood fit of a factor model with a fixed support.
+
+    Its policy is the module's constants; see the module docstring.
 
     Parameters
     ----------
@@ -588,25 +597,18 @@ def fit_mle(s_sample, n, structure, options=None, seed=0, *, l_sat=_FACTOR):
         Sample size behind ``s_sample``; scales the likelihood and the BIC.
     structure : Structure
         Loading support. Rows without factors are fitted as pure noise.
-    options : FitOptions, optional
-        ``max_iterations`` caps EM updates plus finish steps, of which a
-        finish takes at most ``FINISH_STEPS``; ``loglik_tolerance`` stops
-        EM only.
     seed : int
         Seeds the restart jitter.
-    l_sat : float or None, optional
-        ``saturated_loglik(s_sample, n)``, or None where that raises
-        ``NotPositiveDefinite``. By default it is worked out here, which
-        factors ``s_sample`` and warns when it is not positive definite; a
-        caller that fits many structures to one matrix passes it instead,
-        and then nothing is factored or warned here. The finish runs only
-        with a value and ``n > p``.
+    ceiling : float or None, optional
+        ``loglik_ceiling(s_sample, n)``. By default it is worked out here,
+        which factors ``s_sample`` and warns when it is not positive
+        definite; a caller that fits many structures to one matrix passes
+        it instead, and then nothing is factored or warned here.
 
     Returns
     -------
     FitResult
     """
-    options = options or FitOptions()
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     s = as_sym_matrix(s_sample, name="s_sample")
@@ -616,27 +618,19 @@ def fit_mle(s_sample, n, structure, options=None, seed=0, *, l_sat=_FACTOR):
         )
     if np.any(np.diag(s) <= 0):
         raise DomainError("sample matrix has non-positive diagonal entries")
-    if l_sat is _FACTOR:
-        try:
-            l_sat = saturated_loglik(s, n)
-        except NotPositiveDefinite:
-            warnings.warn(NON_PD_SAMPLE, NonPDSampleWarning, stacklevel=2)
-            l_sat = None
-    # on a rank-deficient s the supremum can sit where error variances are
-    # at OMEGA_FLOOR, whose eta gradient vanishes: the finish stalls there
-    ceiling = l_sat if n > structure.p else None
+    if ceiling is _FACTOR:
+        ceiling = loglik_ceiling(s, n)
 
-    lam0 = _start_points(structure, options.restarts, seed)
-    em_cap = options.max_iterations
-    if ceiling is not None and count_free_params(structure) <= FINISH_MAX_PARAMS:
-        em_cap = min(em_cap, EM_HANDOVER)
+    finish = ceiling is not None and count_free_params(structure) <= FINISH_MAX_PARAMS
+    lam0 = _start_points(structure, RESTARTS, seed)
     outcomes = _em_ascent(
-        s, n, _row_classes(structure), lam0, replace(options, max_iterations=em_cap)
+        s, n, _row_classes(structure), lam0, EM_HANDOVER if finish else MAX_ITERATIONS
     )
-    budget = min(FINISH_STEPS, options.max_iterations - em_cap)
     handed = [r for r, out in enumerate(outcomes) if out is not None and not out[4]]
-    if handed and budget > 0:
-        ends = _Finish(s, n, structure, ceiling).run([outcomes[r][:3] for r in handed], budget)
+    if finish and handed:
+        ends = _Finish(s, n, structure, ceiling).run(
+            [outcomes[r][:3] for r in handed], FINISH_STEPS
+        )
         for r, (lam, phi, omega, steps, converged) in zip(handed, ends):
             path, updates = outcomes[r][3], outcomes[r][5]
             outcomes[r] = (lam, phi, omega, path + steps, converged, updates + len(steps))

@@ -14,7 +14,6 @@ import numpy as np
 from ctfactor import (
     CtConfig,
     FactorParams,
-    FitOptions,
     HIGHDIM_PRESETS,
     SimSpec,
     Structure,
@@ -47,9 +46,6 @@ from oracles import (
     general_sufficient_check,
     ucc_probability_bound,
 )
-
-TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
-
 
 def assert_ascending(path, tol=1e-10):
     drops = np.diff(np.asarray(path))
@@ -234,7 +230,7 @@ def test_05_sufficiency_check_agrees_with_direct_thresholdability():
         checked += 1
 
 
-def test_06_fitter_is_monotone_stationary_and_exact():
+def test_06_fitter_is_monotone_stationary_and_exact(request):
     # ascent property across a spread of scales and dependence levels
     for phi_scale in (0.0, 0.25, 0.75):
         for seed in (1, 2, 3):
@@ -246,6 +242,8 @@ def test_06_fitter_is_monotone_stationary_and_exact():
             fit = fit_mle(sample_covariance(data), spec.n, theta.structure(), seed=seed)
             assert_ascending(fit.loglik_path)
 
+    # the exactness checks below run EM to a 1e-13 tolerance
+    request.getfixturevalue("tight")
     # saturated one-factor trio has an explicit maximum-likelihood solution
     lam_true = np.array([[0.8], [0.7], [0.6]])
     trio = FactorParams(
@@ -261,7 +259,7 @@ def test_06_fitter_is_monotone_stationary_and_exact():
         ]
     )
     trio_support = frozenset({(0, 0), (1, 0), (2, 0)})
-    fit = fit_mle(s, 500, Structure(p=3, d=1, support=trio_support), TIGHT, seed=0)
+    fit = fit_mle(s, 500, Structure(p=3, d=1, support=trio_support), seed=0)
     assert_ascending(fit.loglik_path)
     assert np.abs(fit.theta.loadings[:, 0] - lam_hat).max() <= 1e-6
     assert np.abs(fit.theta.error_var - (np.diag(s) - lam_hat**2)).max() <= 1e-6
@@ -269,7 +267,7 @@ def test_06_fitter_is_monotone_stationary_and_exact():
     # feeding the implied covariance back in must return the generator
     spec = SimSpec(d=3, children_per_factor=5, n=1000, seed=33, phi_scale=0.25)
     theta = gen_independent_cluster(spec)
-    fit = fit_mle(implied_covariance(theta), 1000, theta.structure(), TIGHT, seed=0)
+    fit = fit_mle(implied_covariance(theta), 1000, theta.structure(), seed=0)
     assert_ascending(fit.loglik_path)
     assert np.abs(fit.theta.loadings - theta.loadings).max() <= 1e-4
     assert np.abs(fit.theta.factor_corr - theta.factor_corr).max() <= 1e-4
@@ -281,7 +279,7 @@ def test_06_fitter_is_monotone_stationary_and_exact():
     data = sample_dataset(theta, 400, data_rng(spec))
     s = sample_covariance(data)
     structure = theta.structure()
-    fit = fit_mle(s, 400, structure, TIGHT, seed=0)
+    fit = fit_mle(s, 400, structure, seed=0)
     assert_ascending(fit.loglik_path)
     support = sorted(structure.support)
     tri = [(a, b) for a in range(structure.d) for b in range(a)]

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import ctfactor.ct as ct_module
-from ctfactor import CtConfig, FitOptions, NonPDSampleWarning, cli, ct_run, philox
+from ctfactor import CtConfig, NonPDSampleWarning, cli, ct_run, philox
 from ctfactor.estimate import pearson_correlation
 from ctfactor.io import dumps_json, read_data_csv, save_json
 from ctfactor.model import FactorParams
@@ -614,11 +615,11 @@ class TestWarningLines:
         assert out.read_text() == dumps_json(want) + "\n"
 
     def test_unconverged_selection_warns(self, workspace, tmp_path, capsys, monkeypatch):
-        # fits capped after one iteration: the winner has not converged
+        # every fit reported unconverged: so is the winner
         _, _, data = workspace
         real = ct_module.fit_mle
-        monkeypatch.setattr(ct_module, "fit_mle", lambda *a, **k: real(
-            *a, options=FitOptions(max_iterations=1), **k))
+        monkeypatch.setattr(ct_module, "fit_mle", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), converged=False))
         out = tmp_path / "fit.json"
         assert cli.main(["fit", str(data), "--select", "bic", "--out", str(out)]) == 0
         assert capsys.readouterr().err == UNCONVERGED_WARNING

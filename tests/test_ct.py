@@ -507,3 +507,20 @@ class TestOneSampleFactorization:
         assert result.models_fitted > 1
         assert [str(w.message) for w in caught] == [NON_PD_SAMPLE]
         assert caught[0].category is NonPDSampleWarning
+
+
+def test_every_fit_goes_through_the_name_fit_mle(monkeypatch):
+    # perfbench's traced fit metrics count the calls to ``ct.fit_mle`` under
+    # that name: a sweep that fitted by another route would read as no fits
+    corr, n = acceptance_draw(2000, 0.75)
+    real = ct_module.fit_mle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ct_module, "fit_mle", counted)
+    result = ct_run(corr, n, CtConfig(selection="bic", seed=2000))
+    assert len(calls) == result.models_fitted > 1
+    assert result.models_fitted < result.models_evaluated  # pruning on this draw

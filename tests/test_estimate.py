@@ -1,6 +1,5 @@
 """Constrained maximum likelihood and BIC."""
 
-import dataclasses
 import math
 import warnings
 
@@ -9,11 +8,11 @@ import pytest
 from scipy.linalg import cho_solve
 
 import ctfactor as cf
-from ctfactor import CtConfig, FitOptions, Structure, ct_run
+import ctfactor.estimate as estimate_module
+from ctfactor import CtConfig, Structure, ct_run
 from ctfactor.errors import (
     ConstantColumn,
     DimensionMismatch,
-    DomainError,
     NonPDSampleWarning,
     NotPositiveDefinite,
 )
@@ -22,12 +21,16 @@ from ctfactor.estimate import (
     FINISH_MAX_PARAMS,
     FINISH_STEPS,
     GRAD_TOL,
+    LOGLIK_TOL,
+    MAX_ITERATIONS,
     OMEGA_FLOOR,
+    RESTARTS,
     _em_ascent,
     _Finish,
     _per_restart,
     _row_classes,
     _start_points,
+    loglik_ceiling,
     pearson_correlation,
     sample_covariance,
     saturated_loglik,
@@ -36,9 +39,6 @@ from ctfactor.model import implied_covariance
 from ctfactor.numerics import cholesky, philox
 from ctfactor.simgen import data_rng
 from oracles import gaussian_loglik
-
-TIGHT = FitOptions(max_iterations=20000, loglik_tolerance=1e-13)
-
 
 def one_factor_structure(p=3):
     return Structure(p=p, d=1, support=frozenset((i, 0) for i in range(p)))
@@ -51,28 +51,12 @@ def sample_setup(seed=0, phi_scale=0.25, n=800, d=3, children=5):
     return theta, pearson_correlation(data)
 
 
-class TestFitOptions:
-    def test_defaults(self):
-        opts = FitOptions()
-        assert opts.max_iterations == 2000
-        assert opts.loglik_tolerance == 1e-8
-        assert opts.restarts == 3
-        assert [f.name for f in dataclasses.fields(FitOptions)] == [
-            "max_iterations", "loglik_tolerance", "restarts"]
+class TestFitPolicy:
+    def test_constants(self):
+        # the fixed budget of every fit, as the README states it
+        assert (MAX_ITERATIONS, LOGLIK_TOL, RESTARTS) == (2000, 1e-8, 3)
+        assert (EM_HANDOVER, FINISH_STEPS) == (200, 300)
         assert OMEGA_FLOOR == 1e-6
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iterations": 0},
-            {"loglik_tolerance": 0.0},
-            {"loglik_tolerance": -1.0},
-            {"restarts": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            FitOptions(**kwargs)
 
 
 class TestGaussianLoglik:
@@ -116,14 +100,14 @@ class TestCountsAndBic:
 
 
 class TestFitMle:
-    def test_one_factor_closed_form(self):
+    def test_one_factor_closed_form(self, tight):
         lam_true = np.array([0.7, 0.6, 0.8])
         corr = np.eye(3)
         for i in range(3):
             for j in range(3):
                 if i != j:
                     corr[i, j] = lam_true[i] * lam_true[j]
-        fit = cf.fit_mle(corr, 500, one_factor_structure(), options=TIGHT, seed=0)
+        fit = cf.fit_mle(corr, 500, one_factor_structure(), seed=0)
         r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
         closed = np.array(
             [
@@ -135,10 +119,10 @@ class TestFitMle:
         assert np.abs(fit.theta.loadings[:, 0] - closed).max() < 1e-6
         assert np.abs(fit.theta.error_var - (1 - closed**2)).max() < 1e-6
 
-    def test_population_recovery(self):
+    def test_population_recovery(self, tight):
         theta, _ = sample_setup(seed=21)
         sigma = implied_covariance(theta)
-        fit = cf.fit_mle(sigma, 1000, theta.structure(), options=TIGHT, seed=1)
+        fit = cf.fit_mle(sigma, 1000, theta.structure(), seed=1)
         assert np.abs(fit.theta.loadings - theta.loadings).max() < 1e-4
         assert np.abs(fit.theta.factor_corr - theta.factor_corr).max() < 1e-4
         assert np.abs(fit.theta.error_var - theta.error_var).max() < 1e-4
@@ -181,11 +165,11 @@ class TestFitMle:
             anchor = min(unique[j]) if unique[j] else min(children[j])
             assert fit.theta.loadings[anchor, j] >= 0.0
 
-    def test_zero_row_variable_is_pure_noise(self):
+    def test_zero_row_variable_is_pure_noise(self, tight):
         corr = np.eye(3)
         corr[0, 1] = corr[1, 0] = 0.5
         structure = Structure(p=3, d=1, support=frozenset({(0, 0), (1, 0)}))
-        fit = cf.fit_mle(corr, 200, structure, options=TIGHT, seed=0)
+        fit = cf.fit_mle(corr, 200, structure, seed=0)
         assert fit.theta.loadings[2, 0] == 0.0
         assert fit.theta.error_var[2] == pytest.approx(1.0, abs=1e-10)
 
@@ -197,13 +181,12 @@ class TestFitMle:
         with pytest.warns(NonPDSampleWarning):
             cf.fit_mle(s, 4, structure, seed=0)
 
-    def test_restarts_do_not_hurt(self):
+    def test_restarts_do_not_hurt(self, fit_policy):
         # the multi-restart winner is at least as good as a single run
         theta, corr = sample_setup(seed=44)
-        one = cf.fit_mle(corr, 800, theta.structure(),
-                         options=FitOptions(restarts=1), seed=5)
-        three = cf.fit_mle(corr, 800, theta.structure(),
-                           options=FitOptions(restarts=3), seed=5)
+        three = cf.fit_mle(corr, 800, theta.structure(), seed=5)
+        fit_policy(RESTARTS=1)
+        one = cf.fit_mle(corr, 800, theta.structure(), seed=5)
         assert three.loglik >= one.loglik - 1e-9
 
 
@@ -231,11 +214,38 @@ class TestSaturatedLoglik:
             saturated_loglik(corr, 100)
 
 
-def sequential_em(s, n, classes, lam0, options):
+class TestLoglikCeiling:
+    """The ceiling exists for a positive definite sample matrix with n > p."""
+
+    @staticmethod
+    def ceiling_and_warnings(s, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ceiling = loglik_ceiling(s, n)
+        return ceiling, [(w.category, str(w.message)) for w in caught]
+
+    def test_positive_definite_with_n_above_p(self):
+        _, corr = sample_setup(seed=12)
+        assert self.ceiling_and_warnings(corr, 800) == (saturated_loglik(corr, 800), [])
+
+    def test_none_with_n_equal_to_p(self):
+        _, corr = sample_setup(seed=12)
+        assert self.ceiling_and_warnings(corr, corr.shape[0]) == (None, [])
+
+    def test_none_and_one_warning_when_not_positive_definite(self):
+        corr = np.eye(3)
+        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.9
+        corr[0, 2] = corr[2, 0] = -0.9
+        assert self.ceiling_and_warnings(corr, 100) == (
+            None, [(NonPDSampleWarning, estimate_module.NON_PD_SAMPLE)])
+
+
+def sequential_em(s, n, classes, lam0, cap, tol):
     """One restart of the EM ascent, one matrix at a time.
 
-    The reference for the batched ascent: same updates, same stopping rule,
-    ``None`` on a numerical breakdown.
+    The reference for the batched ascent: same updates, the same stopping
+    rule (``|delta loglik| < tol`` or ``cap`` updates), ``None`` on a
+    numerical breakdown.
     """
     p, d = lam0.shape
     s_diag = np.diag(s).copy()
@@ -269,10 +279,10 @@ def sequential_em(s, n, classes, lam0, options):
         if not math.isfinite(ll):
             return None
         path.append(ll)
-        if ll_prev is not None and abs(ll - ll_prev) < options.loglik_tolerance:
+        if ll_prev is not None and abs(ll - ll_prev) < tol:
             converged = True
             break
-        if updates >= options.max_iterations:
+        if updates >= cap:
             break
         ll_prev = ll
 
@@ -304,10 +314,10 @@ def final_logliks(outcomes):
     return [None if out is None else out[3][-1] for out in outcomes]
 
 
-def assert_matches_oracle(s, n, structure, lam0, options):
+def assert_matches_oracle(s, n, structure, lam0):
     classes = _row_classes(structure)
-    batched = _em_ascent(s, n, classes, lam0, options)
-    oracle = [sequential_em(s, n, classes, start, options) for start in lam0]
+    batched = _em_ascent(s, n, classes, lam0, MAX_ITERATIONS)
+    oracle = [sequential_em(s, n, classes, start, MAX_ITERATIONS, LOGLIK_TOL) for start in lam0]
     assert [o is None for o in batched] == [o is None for o in oracle]
     for got, want in zip(batched, oracle):
         if want is None:
@@ -348,14 +358,14 @@ class TestBatchedRestarts:
         capped = 0
         for seed, structure in candidates:
             lam0 = _start_points(structure, 3, seed)
-            outs = assert_matches_oracle(corr, n, structure, lam0, FitOptions())
+            outs = assert_matches_oracle(corr, n, structure, lam0)
             capped += sum(not out[4] for out in outs)
         assert capped > 0
 
     def test_restarts_stop_at_different_iterations(self):
         theta, corr = sample_setup(seed=9)
         lam0 = _start_points(theta.structure(), 4, 3)
-        outs = assert_matches_oracle(corr, 800, theta.structure(), lam0, FitOptions())
+        outs = assert_matches_oracle(corr, 800, theta.structure(), lam0)
         assert len({out[5] for out in outs}) > 1
 
     def test_broken_restart_dropped_alone(self):
@@ -364,7 +374,7 @@ class TestBatchedRestarts:
         lam0 = _start_points(structure, 3, 0)
         i, j = min(structure.support)
         lam0[1, i, j] = np.nan
-        outs = assert_matches_oracle(corr, 800, structure, lam0, FitOptions())
+        outs = assert_matches_oracle(corr, 800, structure, lam0)
         assert outs[1] is None
         assert outs[0] is not None and outs[2] is not None
 
@@ -391,8 +401,7 @@ class TestBatchedRestarts:
             oracle = []
             for start in _start_points(structure, 3, seed):
                 lam, phi, omega, path, converged, _ = sequential_em(
-                    corr, n, _row_classes(structure), start,
-                    FitOptions(max_iterations=EM_HANDOVER))
+                    corr, n, _row_classes(structure), start, EM_HANDOVER, LOGLIK_TOL)
                 if not converged:
                     finish = _Finish(corr, n, structure, saturated_loglik(corr, n))
                     lam, phi, omega, steps, converged = finish.run(
@@ -493,7 +502,7 @@ class TestFinishContract:
         kinds = {"early": 0, "later": 0, "capped": 0}
         for seed, structure in candidates:
             lam0 = _start_points(structure, 3, seed)
-            em_only = _em_ascent(corr, n, _row_classes(structure), lam0, FitOptions())
+            em_only = _em_ascent(corr, n, _row_classes(structure), lam0, MAX_ITERATIONS)
             head = best_outcome(em_only)
             fit = cf.fit_mle(corr, n, structure, seed=seed)
             if all(out[4] and out[5] <= EM_HANDOVER for out in em_only):
@@ -508,20 +517,22 @@ class TestFinishContract:
             else:
                 # capped under EM alone: only gains on the sequential oracle
                 kinds["capped"] += 1
-                oracle = [sequential_em(corr, n, _row_classes(structure), start, FitOptions())
+                oracle = [sequential_em(corr, n, _row_classes(structure), start,
+                                        MAX_ITERATIONS, LOGLIK_TOL)
                           for start in lam0]
                 assert fit.loglik >= max(out[3][-1] for out in oracle if out is not None)
         assert all(kinds.values()), kinds
 
-    def test_path_model_and_convergence(self):
+    def test_path_model_and_convergence(self, fit_policy):
         # every candidate, and the over-factored one cut short in the finish
         corr, n, candidates = family_candidates()
         over = next((s, st) for s, st in candidates if st.d == 4)
-        runs = [(s, st, FitOptions()) for s, st in candidates]
-        runs.append((*over, FitOptions(max_iterations=EM_HANDOVER + 5)))
+        runs = [(s, st, FINISH_STEPS) for s, st in candidates]
+        runs.append((*over, 5))
         finished = []
-        for seed, structure, options in runs:
-            fit = cf.fit_mle(corr, n, structure, seed=seed, options=options)
+        for seed, structure, steps in runs:
+            fit_policy(FINISH_STEPS=steps)
+            fit = cf.fit_mle(corr, n, structure, seed=seed)
             path = np.asarray(fit.loglik_path)
             assert fit.n_iterations == path.size - 1
             assert np.diff(path).min() > -1e-10
@@ -558,45 +569,39 @@ class TestFinishContract:
             warnings.simplefilter("ignore", NonPDSampleWarning)
             fit = cf.fit_mle(corr, n, structure, seed=seed)
         lam0 = _start_points(structure, 3, seed)
-        head = best_outcome(_em_ascent(corr, n, _row_classes(structure), lam0, FitOptions()))
+        head = best_outcome(_em_ascent(corr, n, _row_classes(structure), lam0, MAX_ITERATIONS))
         assert fit.loglik_path == tuple(head[3]) and fit.converged == head[4]
         assert fit.n_iterations == head[5] > EM_HANDOVER
 
-    def test_options_past_the_hand_over(self):
+    def test_options_past_the_hand_over(self, request):
         # a finish takes at most FINISH_STEPS steps and stops on GRAD_TOL,
-        # whatever max_iterations and loglik_tolerance would allow: under
-        # TIGHT every finished fit is the default one
+        # whatever MAX_ITERATIONS and LOGLIK_TOL would allow: under the
+        # tight policy every finished fit is the default one
         corr, n, candidates = family_candidates()
+        fits = [(seed, structure, cf.fit_mle(corr, n, structure, seed=seed))
+                for seed, structure in candidates]
+        request.getfixturevalue("tight")
         ends = []
-        for seed, structure in candidates:
-            fit = cf.fit_mle(corr, n, structure, seed=seed)
+        for seed, structure, fit in fits:
             if fit.n_iterations > EM_HANDOVER:
-                tight = cf.fit_mle(corr, n, structure, seed=seed, options=TIGHT)
+                tight = cf.fit_mle(corr, n, structure, seed=seed)
                 assert tight.loglik_path == fit.loglik_path
                 assert tight.converged == fit.converged
                 ends.append((fit.n_iterations, fit.converged))
         assert (EM_HANDOVER + FINISH_STEPS, False) in ends
         assert any(converged for _, converged in ends), ends
 
-    def test_max_iterations_caps_both_phases(self):
-        corr, n, candidates = family_candidates()
-        seed, structure = next((s, st) for s, st in candidates if st.d == 4)
-        fit = cf.fit_mle(corr, n, structure, seed=seed, options=FitOptions(max_iterations=150))
-        assert fit.n_iterations == 150 and not fit.converged
-        fit = cf.fit_mle(corr, n, structure, seed=seed,
-                         options=FitOptions(max_iterations=EM_HANDOVER + 5))
-        assert fit.n_iterations == EM_HANDOVER + 5 and not fit.converged
-
-    def test_large_fits_run_em_alone(self):
+    def test_large_fits_run_em_alone(self, fit_policy):
         # more free parameters than the finish takes: EM runs to the cap
         data = philox(8).standard_normal((200, 40))
         corr = pearson_correlation(data + data[:, :1])
         structure = Structure(p=40, d=17, support=frozenset((i, i % 17) for i in range(40)))
         assert cf.count_free_params(structure) > FINISH_MAX_PARAMS
-        options = FitOptions(max_iterations=EM_HANDOVER + 50)
-        fit = cf.fit_mle(corr, 200, structure, seed=0, options=options)
+        fit_policy(MAX_ITERATIONS=EM_HANDOVER + 50)
+        fit = cf.fit_mle(corr, 200, structure, seed=0)
         lam0 = _start_points(structure, 3, 0)
-        head = best_outcome(_em_ascent(corr, 200, _row_classes(structure), lam0, options))
+        head = best_outcome(_em_ascent(corr, 200, _row_classes(structure), lam0,
+                                       EM_HANDOVER + 50))
         assert fit.loglik_path == tuple(head[3])
         assert fit.n_iterations == head[5] > EM_HANDOVER
 

@@ -60,6 +60,8 @@ POLICY_FREE = [
     (ctfactor.sample_covariance, ["data"]),
     (write_data_csv, ["path", "data"]),
     (ctfactor.gen_ucc_violation, ["spec"]),
+    (ctfactor.fit_mle, ["s_sample", "n", "structure", "seed", "ceiling"]),
+    (ctfactor.ct_run, ["corr", "n", "config"]),
 ]
 
 
