@@ -146,7 +146,8 @@ def independent_maximal_cliques(graph):
     them, so the groups come out in ``CliqueSet`` order.
     """
     closed, p = graph.closed, graph.p
-    sizes = np.count_nonzero(closed, axis=1)
+    # a sum of bytes into int32 takes half the time of count_nonzero by row
+    sizes = np.add.reduce(closed.view(np.uint8), axis=1, dtype=np.int32)
     first = np.empty(p, dtype=np.intp)
     for lo in range(0, p, _TILE):
         hi = lo + _TILE
@@ -163,7 +164,7 @@ def independent_maximal_cliques(graph):
     tested = np.flatnonzero(~small & ((first == vertices) | (sizes[first] > sizes)))
     tested_sizes = sizes[tested]
     packed = None
-    if tested.size and tested_sizes.max() ** 2 > 8 * p:
+    if tested.size and int(tested_sizes.max()) ** 2 > 8 * p:
         packed = np.packbits(closed, axis=1)
     for s in np.unique(tested_sizes).tolist():
         group = tested[tested_sizes == s]

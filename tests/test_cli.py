@@ -126,6 +126,28 @@ class TestFit:
         assert doc["selected_converged"] is chosen["fit"]["converged"]
         assert doc["models_fitted"] == sum(not c["pruned"] for c in doc["candidates"])
 
+    @pytest.mark.parametrize("select", ["none", "min-hd"])
+    def test_every_csv_read_goes_through_the_name_read_data_csv(
+        self, workspace, tmp_path, capsys, monkeypatch, select
+    ):
+        # perfbench's io.read_csv_s times the calls to ``cli.read_data_csv``
+        # under that name: a fit that read its CSV by another route would
+        # read as no ingest
+        _, model, data = workspace
+        real = cli.read_data_csv
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_data_csv", counted)
+        argv = ["fit", str(data), "--select", select, "--out", str(tmp_path / "fit.json")]
+        if select == "min-hd":
+            argv += ["--truth", str(model)]
+        assert cli.main(argv) == 0
+        assert calls == [(str(data),)]
+
     def test_custom_thresholds(self, workspace, tmp_path, capsys):
         _, _, data = workspace
         out = tmp_path / "fit.json"

@@ -1,6 +1,8 @@
 """File formats: data CSV, correlation JSON, deterministic JSON emission."""
 
+import decimal
 import json
+import math
 import os
 import tempfile
 import threading
@@ -213,30 +215,163 @@ def read_outcome(reader, path):
     return ("ok", data.shape, data.dtype.str, data.tobytes(), header)
 
 
+#: orjson block sizes to read at: one and two rows put block boundaries
+#: between the few rows of a drawn text, the default rarely does.
+BLOCKS = [1, 2, io_module._BLOCK]
+
+CSV_TEXT_SETTINGS = settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def check_against_cell_loop(text, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(io_module, "_BLOCK", block), mock.patch.object(
+            io_module, "_read_cells", wraps=io_module._read_cells
+        ) as cell_loop, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = read_outcome(read_data_csv, path)
+        reference = read_outcome(io_module._read_cells, path)
+    assert fast == reference
+    # the cell loop serves only input numpy's reader cannot convert
+    if reference[0] == "ok" and text.isascii() and "_" not in text:
+        assert not cell_loop.called
+
+
 class TestFastPathMatchesCellLoop:
-    @settings(
-        max_examples=400,
-        deadline=None,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @CSV_TEXT_SETTINGS
     @given(csv_texts())
     def test_same_values_header_or_error(self, text):
+        check_against_cell_loop(text, io_module._BLOCK)
+
+    @pytest.mark.parametrize("block", BLOCKS[:2])
+    @CSV_TEXT_SETTINGS
+    @given(text=csv_texts())
+    def test_same_at_small_blocks(self, block, text):
+        check_against_cell_loop(text, block)
+
+
+def halfway(x):
+    """The exact decimal midway between ``x`` and the next double up."""
+    ctx = decimal.Context(prec=1100)
+    above = decimal.Decimal(math.nextafter(x, math.inf))
+    return format(ctx.divide(ctx.add(decimal.Decimal(x), above), 2), "e")
+
+
+#: Number tokens that orjson reads as floats: mantissas of 1 to 40
+#: digits with exponents past both ends of the double range, and exact
+#: halfway points between adjacent doubles, where rounding errors show.
+JSON_FLOATS = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.integers(1, 9),
+        st.text("0123456789", min_size=1, max_size=39),
+        st.integers(-345, 307),
+    ).map(lambda t: f"{t[0]}{t[1]}.{t[2]}e{t[3]}"),
+    st.floats(-1.7e308, 1.7e308).map(halfway),
+)
+
+
+class TestBlockDoublesMatchFloat:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(JSON_FLOATS, min_size=6, max_size=6), min_size=1, max_size=8))
+    def test_same_bits_as_float(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            with mock.patch.object(
-                io_module, "_read_cells", wraps=io_module._read_cells
-            ) as cell_loop, warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fast = read_outcome(read_data_csv, path)
-            reference = read_outcome(io_module._read_cells, path)
-        assert fast == reference
-        # the cell loop serves only input numpy's reader cannot convert
-        if reference[0] == "ok" and text.isascii() and "_" not in text:
-            assert not cell_loop.called
+            with open(path, "w") as fh:
+                fh.write("".join(",".join(row) + "\n" for row in rows))
+            outcome, loadtxt, _ = read_paths(path)
+            assert outcome == read_outcome(io_module._read_cells, path)
+        assert outcome[0] == "ok" and not loadtxt
+
+
+def read_paths(path, block=io_module._BLOCK):
+    """``read_data_csv(path)`` at orjson block size ``block``, and whether
+    numpy's reader and the cell loop were called."""
+    with mock.patch.object(io_module, "_BLOCK", block), mock.patch.object(
+        io_module.np, "loadtxt", wraps=np.loadtxt
+    ) as loadtxt, mock.patch.object(
+        io_module, "_read_cells", wraps=io_module._read_cells
+    ) as cell_loop:
+        outcome = read_outcome(read_data_csv, path)
+    return outcome, loadtxt.called, cell_loop.called
+
+
+class TestReaderPath:
+    """Which of the three readers (orjson blocks, numpy's reader, the
+    cell loop) a file goes through, and that the values do not say."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_written_doubles_skip_numpy(self, tmp_path, block):
+        path = tmp_path / "data.csv"
+        scales = 10.0 ** philox(4).integers(-300, 300, (300, 40))
+        write_data_csv(path, philox(3).standard_normal((300, 40)) * scales)
+        assert read_paths(path, block) == (read_outcome(io_module._read_cells, path), False, False)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n1,-0\n-0,2\n", [[1.0, -0.0], [-0.0, 2.0]]),  # orjson: -0 is the int 0
+            ('"1.5","-0"\n"2.5",3e0\n', [[1.5, -0.0], [2.5, 3.0]]),  # orjson: str cells
+        ],
+        ids=["integers", "quoted"],
+    )
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_other_numbers_take_numpy(self, tmp_path, text, expected, block):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        outcome, loadtxt, cell_loop = read_paths(path, block)
+        assert outcome == read_outcome(io_module._read_cells, path)
+        assert loadtxt and not cell_loop
+        assert outcome[3] == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5,2.5\n3.5,4.5\n\n\r\n\n",
+            "1.5,2.5\n\n\n\n\r\n3.5,4.5\r\n\r\n",
+            "x,y\n\n\n1.5,2.5\r\r3.5,4.5",
+        ],
+        ids=["blank-tail", "blank-inside", "blank-after-header"],
+    )
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_blank_lines_end_nothing_but_the_input(self, tmp_path, text, block):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        outcome, loadtxt, cell_loop = read_paths(path, block)
+        assert outcome[3] == np.array([[1.5, 2.5], [3.5, 4.5]]).tobytes()
+        assert not loadtxt and not cell_loop
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1.5,2.5\n3.5,4.5\n1,2\n", None),
+            ("1.5,2.5\n3.5,4.5\n \n", "row 3 has 1 cells, expected 2"),
+            ("1.5,2.5\n3.5,4.5\n\t\n\n", "row 3 has 1 cells, expected 2"),
+            ("1.5,2.5\n3.5,4.5\n5.5\n", "row 3 has 1 cells, expected 2"),
+            ("1.5\n3.5\n5.5],[6.5\n", "row 3 has 2 cells, expected 1"),
+            ("1.5,2.5\n3.5,4.5\n5.5,true\n", "row 3, column 2: not a number: 'true'"),
+            ("1.5,2.5\n3.5,4.5\nnull,6.5\n", "row 3, column 1: not a number: 'null'"),
+        ],
+        ids=["integers", "space-line", "tab-line", "short-row", "brackets", "true", "null"],
+    )
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_refused_block_after_good_ones(self, tmp_path, text, error, block):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        outcome, loadtxt, cell_loop = read_paths(path, block)
+        assert outcome == read_outcome(io_module._read_cells, path)
+        if error is None:
+            assert loadtxt and not cell_loop
+        else:
+            assert cell_loop and outcome == ("error", f"{path}: {error}")
 
 
 class TestCorrJson:
