@@ -367,10 +367,7 @@ def _finish_bench(command, config_doc, rows, out_json, out_csv):
 
 
 def cmd_bench_low(args):
-    selection = SELECTIONS[args.select]
-    if selection == "none":
-        raise DomainError("bench needs a selection rule (bic or min-hd)")
-    rows = _run_replicates(args, _model_fields(args), selection)
+    rows = _run_replicates(args, _model_fields(args), SELECTIONS[args.select])
     config_doc = {
         "d": args.d,
         "children": args.children,

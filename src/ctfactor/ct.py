@@ -20,20 +20,20 @@ skips (prunes) any whose BIC could not reach the best one so far even at
 ``estimate.loglik_ceiling``, the saturated log-likelihood that bounds
 every fit: a candidate is pruned when ``-2 ceiling + k log n`` exceeds
 the best BIC strictly, so the selection equals that of fitting every
-candidate. Without a ceiling every candidate is fitted, by EM alone. The
-ceiling is worked out once per run, with the one p x p factorization of
-the sample matrix and the not-positive-definite warning; every fit is
-handed it and factors nothing again.
+candidate. Without a ceiling (``n <= p``, or a matrix that is not
+positive definite) every candidate is fitted, by EM alone. The ceiling is
+worked out once per run that has candidates: at most one p x p
+factorization of the sample matrix, and one warning when there is no
+ceiling. Every fit is handed it and factors nothing again.
 """
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingTruth, NonPDSampleWarning
+from .errors import DomainError, MissingTruth
 from .estimate import count_free_params, fit_mle, loglik_ceiling
 from .graph import _threshold, independent_maximal_cliques, structure_from_cliques
 from .metrics import hamming_distance
@@ -187,15 +187,6 @@ def ct_run(corr, n, config=None):
         raise DomainError(f"n must be >= 1, got {n}")
     t0 = time.perf_counter()
     corr = as_corr_matrix(corr, "correlation")
-    p = corr.shape[0]
-    if config.selection == "bic" and n < p:
-        warnings.warn(
-            f"BIC selection with n={n} < p={p}: the sample correlation matrix "
-            "is rank deficient and likelihoods are unreliable",
-            NonPDSampleWarning,
-            stacklevel=2,
-        )
-
     absr = np.abs(corr)
     candidates = []
     by_key = {}

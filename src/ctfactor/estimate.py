@@ -36,13 +36,16 @@ is analytic, ``dloglik / dSigma = (n / 2) (Sigma^-1 S Sigma^-1 -
 Sigma^-1)``, and the log-likelihood is non-decreasing along the finish
 too, up to round-off.
 
-The finish runs only under a ceiling (``loglik_ceiling``) and for fits
-with at most ``FINISH_MAX_PARAMS`` free parameters; other fits run EM
-alone, to at most ``MAX_ITERATIONS`` updates.
+The finish runs only under a ceiling (``loglik_ceiling``: the saturated
+log-likelihood, which exists for a positive definite sample matrix with
+``n > p``) and for fits with at most ``FINISH_MAX_PARAMS`` free
+parameters; other fits run EM alone, to at most ``MAX_ITERATIONS``
+updates.
 
 A fit has converged when EM met ``LOGLIK_TOL`` or the finish brought the
-largest gradient entry to ``GRAD_TOL``. Its ``n_iterations`` counts EM
-updates plus finish steps, and ``loglik_path`` runs through both phases.
+largest gradient entry to ``GRAD_TOL``. Its ``loglik_path`` runs through
+both phases: the start point, one entry per EM update and one per
+accepted finish step; ``n_iterations`` is its length less one.
 The fit's policy is these module constants; no caller sets it.
 
 The best final likelihood over restarts wins. Restart ``r > 0`` jitters
@@ -69,7 +72,6 @@ from .numerics import as_sym_matrix, logdet_pd, philox
 
 __all__ = [
     "FitResult",
-    "saturated_loglik",
     "loglik_ceiling",
     "fit_mle",
     "count_free_params",
@@ -135,7 +137,8 @@ class FitResult:
 
     ``loglik_path`` is the log-likelihood of the winning restart after
     each EM update and each accepted finish step (first entry is the
-    initial point); ``n_iterations`` counts those updates and steps.
+    initial point); ``n_iterations`` counts those updates and steps,
+    ``len(loglik_path) - 1``.
     ``converged`` is true when EM met ``LOGLIK_TOL`` or the finish met
     ``GRAD_TOL``.
     """
@@ -148,40 +151,36 @@ class FitResult:
     loglik_path: tuple
 
 
-def saturated_loglik(s_sample, n):
-    """Gaussian log-likelihood at ``sigma = s_sample``: the ceiling of every fit.
+def loglik_ceiling(s_sample, n):
+    """The saturated log-likelihood where it bounds every fit, else None.
 
-    ``-(n / 2) * (p * log(2 pi) + logdet(s) + p)``. Over positive definite
-    models the likelihood peaks at the sample matrix itself, so no fit of
-    any structure can exceed this value.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the sample matrix is not positive definite (no ceiling exists).
+    The Gaussian log-likelihood at ``sigma = s_sample`` is ``-(n / 2) * (p
+    * log(2 pi) + logdet(s) + p)``. Over positive definite models it peaks
+    there, so no fit of any structure exceeds it, provided the sample
+    matrix is positive definite and ``n > p``. With ``n <= p`` the
+    supremum can sit where error variances are at ``OMEGA_FLOOR``, and a
+    finish stalls there; the ceiling is then None without factoring the
+    matrix. Either case without a ceiling warns once
+    (``NonPDSampleWarning``), on the line that called the caller
+    (``ct_run`` or ``fit_mle``).
     """
     if n <= 0:
         raise DomainError(f"n must be positive, got {n}")
     s = as_sym_matrix(s_sample, name="s_sample")
     p = s.shape[0]
-    return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet_pd(s) + p)
-
-
-def loglik_ceiling(s_sample, n):
-    """``saturated_loglik`` where it bounds every fit, else None.
-
-    The bound holds for a positive definite sample matrix with ``n > p``.
-    With ``n <= p`` the supremum can sit where error variances are at
-    ``OMEGA_FLOOR``, and a finish stalls there. A matrix that is not
-    positive definite also warns, on the line that called the caller
-    (``ct_run`` or ``fit_mle``).
-    """
+    if n <= p:
+        warnings.warn(
+            f"n={n} <= p={p}: the sample matrix is rank deficient and likelihoods are unreliable",
+            NonPDSampleWarning,
+            stacklevel=3,
+        )
+        return None
     try:
-        ceiling = saturated_loglik(s_sample, n)
+        logdet = logdet_pd(s)
     except NotPositiveDefinite:
         warnings.warn(NON_PD_SAMPLE, NonPDSampleWarning, stacklevel=3)
         return None
-    return ceiling if n > len(s_sample) else None
+    return -0.5 * n * (p * math.log(2.0 * math.pi) + logdet + p)
 
 
 def count_free_params(structure):
@@ -265,12 +264,13 @@ def _support_index(structure):
 def _em_ascent(s, n, classes, lam0, cap):
     """EM from every starting loading matrix in ``lam0`` (restarts x p x d) at once.
 
-    Returns one entry per restart: ``(lam, phi, omega, path, converged,
-    updates)``, or ``None`` for a restart that broke down numerically (a
-    failed factorization, a non-positive E[LL'] diagonal or a non-finite
-    log-likelihood). Each restart
-    stops at ``LOGLIK_TOL`` or after ``cap`` updates and then leaves the
-    batch, so its path is the one it would follow alone.
+    Returns one entry per restart: ``(lam, phi, omega, path, converged)``,
+    or ``None`` for a restart that broke down numerically (a failed
+    factorization, a non-positive E[LL'] diagonal or a non-finite
+    log-likelihood). ``path`` holds the start point and one entry per
+    update. Each restart stops at ``LOGLIK_TOL`` or after ``cap`` updates
+    and then leaves the batch, so its path is the one it would follow
+    alone.
     """
     # Sigma = lam phi lam' + diag(omega) is never assembled: with
     # D = diag(1/omega) and M = phi^-1 + lam' D lam, the determinant lemma
@@ -326,9 +326,7 @@ def _em_ascent(s, n, classes, lam0, cap):
                 continue  # numerically broken restart: dropped, outcome stays None
             paths[r].append(float(ll[slot]))
             if converged[slot] or capped:
-                outcomes[r] = (
-                    lam[slot], phi[slot], omega[slot], paths[r], bool(converged[slot]), updates
-                )
+                outcomes[r] = (lam[slot], phi[slot], omega[slot], paths[r], bool(converged[slot]))
         keep = finite & ~converged & (not capped)
         if not keep.all():
             if not keep.any():
@@ -601,9 +599,10 @@ def fit_mle(s_sample, n, structure, seed=0, *, ceiling=_FACTOR):
         Seeds the restart jitter.
     ceiling : float or None, optional
         ``loglik_ceiling(s_sample, n)``. By default it is worked out here,
-        which factors ``s_sample`` and warns when it is not positive
-        definite; a caller that fits many structures to one matrix passes
-        it instead, and then nothing is factored or warned here.
+        which warns when there is none (``n <= p``, or ``s_sample`` not
+        positive definite); a caller that fits many structures to one
+        matrix passes it instead, and then nothing is factored or warned
+        here.
 
     Returns
     -------
@@ -632,8 +631,7 @@ def fit_mle(s_sample, n, structure, seed=0, *, ceiling=_FACTOR):
             [outcomes[r][:3] for r in handed], FINISH_STEPS
         )
         for r, (lam, phi, omega, steps, converged) in zip(handed, ends):
-            path, updates = outcomes[r][3], outcomes[r][5]
-            outcomes[r] = (lam, phi, omega, path + steps, converged, updates + len(steps))
+            outcomes[r] = (lam, phi, omega, outcomes[r][3] + steps, converged)
     best = None
     for out in outcomes:
         if out is not None and (best is None or out[3][-1] > best[3][-1]):
@@ -642,7 +640,7 @@ def fit_mle(s_sample, n, structure, seed=0, *, ceiling=_FACTOR):
         raise NotPositiveDefinite(
             "every restart broke down numerically; sample matrix is too degenerate"
         )
-    lam, phi, omega, path, converged, n_iter = best
+    lam, phi, omega, path, converged = best
     lam, phi = _canonicalize_signs(lam.copy(), phi.copy(), structure)
     theta = FactorParams(loadings=lam, factor_corr=phi, error_var=omega)
     ll = path[-1]
@@ -651,7 +649,7 @@ def fit_mle(s_sample, n, structure, seed=0, *, ceiling=_FACTOR):
         loglik=float(ll),
         bic=bic_value(ll, count_free_params(structure), n),
         converged=converged,
-        n_iterations=n_iter,
+        n_iterations=len(path) - 1,
         loglik_path=tuple(path),
     )
 

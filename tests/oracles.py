@@ -19,7 +19,8 @@ threshold, as the sweep did before it became one pass.
 
 Likelihood. ``gaussian_loglik`` evaluates the Gaussian log-likelihood of
 any positive definite model directly from its Cholesky factor; it checks
-the package's ``saturated_loglik`` and the likelihoods the fitter reports.
+the ceiling ``loglik_ceiling`` gives and the likelihoods the fitter
+reports.
 
 Population diagnostics. ``general_sufficient_check`` answers the
 separability question of ``thresholdability`` by a second route: it

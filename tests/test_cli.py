@@ -13,7 +13,16 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import ctfactor.ct as ct_module
-from ctfactor import CtConfig, NonPDSampleWarning, cli, ct_run, philox
+from ctfactor import (
+    CtConfig,
+    NonPDSampleWarning,
+    SimSpec,
+    cli,
+    ct_run,
+    gen_independent_cluster,
+    implied_correlation,
+    philox,
+)
 from ctfactor.estimate import pearson_correlation
 from ctfactor.io import dumps_json, read_data_csv, save_json
 from ctfactor.model import FactorParams
@@ -354,6 +363,16 @@ class TestBench:
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "a.json").exists()
 
+    def test_low_select_none_is_refused_by_argparse(self, tmp_path, capsys):
+        # a benchmark needs a selection rule: --select offers bic and min-hd only
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "low", "--reps", "1", "--n", "100", "--select", "none",
+                      "--out-json", str(tmp_path / "a.json"),
+                      "--out-csv", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'none'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "mode",
         [["low", "--n", "150", "--select", "min-hd"],
@@ -594,8 +613,8 @@ class TestNegativeSeed:
 
 
 def rank_warning(n, p):
-    return (f"warning: BIC selection with n={n} < p={p}: the sample correlation matrix "
-            "is rank deficient and likelihoods are unreliable\n")
+    return (f"warning: n={n} <= p={p}: the sample matrix is rank deficient and "
+            "likelihoods are unreliable\n")
 
 
 NON_PD_WARNING = (
@@ -614,11 +633,15 @@ class TestWarningLines:
     @pytest.mark.parametrize(
         "corr, n, err",
         [(np.round(pearson_correlation(philox(0).standard_normal((5, 8))), 6), 5,
-          rank_warning(5, 8) + NON_PD_WARNING),
+          rank_warning(5, 8)),
          (np.array([[1.0, 0.9, 0.9, -0.9], [0.9, 1.0, 0.9, 0.9],
                     [0.9, 0.9, 1.0, 0.9], [-0.9, 0.9, 0.9, 1.0]]), 100,
-          NON_PD_WARNING + UNCONVERGED_WARNING)],
-        ids=["n-below-p", "non-pd"],
+          NON_PD_WARNING + UNCONVERGED_WARNING),
+         # positive definite, but at n = p the saturated likelihood bounds no fit
+         (implied_correlation(gen_independent_cluster(
+             SimSpec(d=2, children_per_factor=4, seed=3, phi_scale=0.3))), 8,
+          rank_warning(8, 8))],
+        ids=["n-below-p", "non-pd", "n-equals-p"],
     )
     def test_fit_bic(self, tmp_path, capsys, corr, n, err):
         np.fill_diagonal(corr, 1.0)
@@ -635,6 +658,8 @@ class TestWarningLines:
         assert timings.keys() == want["timings_s"].keys()
         want.update(p=corr.shape[0], n=n, timings_s=timings)
         assert out.read_text() == dumps_json(want) + "\n"
+        # no input here has a ceiling, so no candidate is pruned
+        assert want["models_fitted"] == want["models_evaluated"] > 1
 
     def test_unconverged_selection_warns(self, workspace, tmp_path, capsys, monkeypatch):
         # every fit reported unconverged: so is the winner
@@ -660,7 +685,7 @@ class TestWarningLines:
                              "--out-json", str(tmp_path / f"a{jobs}.json"),
                              "--out-csv", str(tmp_path / f"a{jobs}.csv")]) == 0
             errs.append(capsys.readouterr().err)
-        assert errs == [rank_warning(2, 3) + NON_PD_WARNING] * 2
+        assert errs == [rank_warning(2, 3)] * 2
 
     def test_error_filter_still_raises(self, workspace, capsys, monkeypatch):
         _, _, data = workspace

@@ -508,6 +508,19 @@ class TestOneSampleFactorization:
         assert [str(w.message) for w in caught] == [NON_PD_SAMPLE]
         assert caught[0].category is NonPDSampleWarning
 
+    def test_no_candidates_no_ceiling_no_warning(self, monkeypatch):
+        # a 4-cycle at tau 0.3 has no independent cliques: nothing is fitted,
+        # so n < p is not reported and S is not factored
+        corr = np.eye(4)
+        for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
+            corr[i, j] = corr[j, i] = 0.6
+        calls = self.count_factorizations(monkeypatch, 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ct_run(corr, 3, CtConfig(thresholds=(0.3,), selection="bic"))
+        assert result.models_evaluated == 0 and result.selected_index is None
+        assert caught == [] and calls == []
+
 
 def test_every_fit_goes_through_the_name_fit_mle(monkeypatch):
     # perfbench's traced fit metrics count the calls to ``ct.fit_mle`` under

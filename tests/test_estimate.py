@@ -10,12 +10,7 @@ from scipy.linalg import cho_solve
 import ctfactor as cf
 import ctfactor.estimate as estimate_module
 from ctfactor import CtConfig, Structure, ct_run
-from ctfactor.errors import (
-    ConstantColumn,
-    DimensionMismatch,
-    NonPDSampleWarning,
-    NotPositiveDefinite,
-)
+from ctfactor.errors import ConstantColumn, DimensionMismatch, NonPDSampleWarning
 from ctfactor.estimate import (
     EM_HANDOVER,
     FINISH_MAX_PARAMS,
@@ -33,7 +28,6 @@ from ctfactor.estimate import (
     loglik_ceiling,
     pearson_correlation,
     sample_covariance,
-    saturated_loglik,
 )
 from ctfactor.model import implied_covariance
 from ctfactor.numerics import cholesky, philox
@@ -190,32 +184,9 @@ class TestFitMle:
         assert three.loglik >= one.loglik - 1e-9
 
 
-class TestSaturatedLoglik:
-    def test_equals_loglik_at_sample_matrix(self):
-        gen = philox(7)
-        base = gen.standard_normal((5, 5))
-        s = base @ base.T + np.eye(5)
-        assert saturated_loglik(s, 40) == pytest.approx(gaussian_loglik(s, s, 40), rel=1e-12)
-
-    def test_bounds_every_fit(self):
-        theta, corr = sample_setup(seed=12)
-        ceiling = saturated_loglik(corr, 800)
-        for d in (1, 3):
-            structure = Structure(
-                p=15, d=d, support=frozenset((i, i * d // 15) for i in range(15))
-            )
-            assert cf.fit_mle(corr, 800, structure, seed=0).loglik <= ceiling
-
-    def test_rejects_non_pd(self):
-        corr = np.eye(3)
-        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.9
-        corr[0, 2] = corr[2, 0] = -0.9
-        with pytest.raises(NotPositiveDefinite):
-            saturated_loglik(corr, 100)
-
-
 class TestLoglikCeiling:
-    """The ceiling exists for a positive definite sample matrix with n > p."""
+    """The ceiling exists for a positive definite sample matrix with n > p;
+    otherwise it is None, with one warning."""
 
     @staticmethod
     def ceiling_and_warnings(s, n):
@@ -224,13 +195,50 @@ class TestLoglikCeiling:
             ceiling = loglik_ceiling(s, n)
         return ceiling, [(w.category, str(w.message)) for w in caught]
 
+    def test_equals_loglik_at_sample_matrix(self):
+        gen = philox(7)
+        base = gen.standard_normal((5, 5))
+        s = base @ base.T + np.eye(5)
+        ceiling, caught = self.ceiling_and_warnings(s, 40)
+        assert ceiling == pytest.approx(gaussian_loglik(s, s, 40), rel=1e-12)
+        assert caught == []
+
+    def test_bounds_every_fit(self):
+        theta, corr = sample_setup(seed=12)
+        ceiling = loglik_ceiling(corr, 800)
+        for d in (1, 3):
+            structure = Structure(
+                p=15, d=d, support=frozenset((i, i * d // 15) for i in range(15))
+            )
+            assert cf.fit_mle(corr, 800, structure, seed=0).loglik <= ceiling
+
     def test_positive_definite_with_n_above_p(self):
         _, corr = sample_setup(seed=12)
-        assert self.ceiling_and_warnings(corr, 800) == (saturated_loglik(corr, 800), [])
+        ceiling, caught = self.ceiling_and_warnings(corr, 800)
+        assert ceiling == pytest.approx(gaussian_loglik(corr, corr, 800), rel=1e-12)
+        assert caught == []
 
     def test_none_with_n_equal_to_p(self):
         _, corr = sample_setup(seed=12)
-        assert self.ceiling_and_warnings(corr, corr.shape[0]) == (None, [])
+        assert self.ceiling_and_warnings(corr, 15) == (None, [(
+            NonPDSampleWarning,
+            "n=15 <= p=15: the sample matrix is rank deficient and likelihoods are unreliable",
+        )])
+
+    @pytest.mark.parametrize("n, factored", [(14, False), (15, False), (16, True)])
+    def test_factors_only_when_n_above_p(self, monkeypatch, n, factored):
+        _, corr = sample_setup(seed=12)
+        real = estimate_module.logdet_pd
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(estimate_module, "logdet_pd", counted)
+        ceiling, caught = self.ceiling_and_warnings(corr, n)
+        assert len(calls) == factored and (ceiling is not None) == factored
+        assert len(caught) == (not factored)
 
     def test_none_and_one_warning_when_not_positive_definite(self):
         corr = np.eye(3)
@@ -322,7 +330,7 @@ def assert_matches_oracle(s, n, structure, lam0):
     for got, want in zip(batched, oracle):
         if want is None:
             continue
-        assert got[5] == want[5]  # iterations
+        assert len(got[3]) - 1 == want[5]  # the oracle counts its updates
         assert got[4] == want[4]  # converged
         assert len(got[3]) == len(want[3])
         assert got[3][-1] == pytest.approx(want[3][-1], rel=1e-10, abs=0)
@@ -366,7 +374,7 @@ class TestBatchedRestarts:
         theta, corr = sample_setup(seed=9)
         lam0 = _start_points(theta.structure(), 4, 3)
         outs = assert_matches_oracle(corr, 800, theta.structure(), lam0)
-        assert len({out[5] for out in outs}) > 1
+        assert len({len(out[3]) - 1 for out in outs}) > 1
 
     def test_broken_restart_dropped_alone(self):
         theta, corr = sample_setup(seed=5)
@@ -403,7 +411,7 @@ class TestBatchedRestarts:
                 lam, phi, omega, path, converged, _ = sequential_em(
                     corr, n, _row_classes(structure), start, EM_HANDOVER, LOGLIK_TOL)
                 if not converged:
-                    finish = _Finish(corr, n, structure, saturated_loglik(corr, n))
+                    finish = _Finish(corr, n, structure, loglik_ceiling(corr, n))
                     lam, phi, omega, steps, converged = finish.run(
                         [(lam, phi, omega)], FINISH_STEPS)[0]
                     path = path + steps
@@ -429,7 +437,7 @@ def finish_point(d, seed=0):
     np.fill_diagonal(phi, 1.0)
     omega = gen.uniform(0.2, 0.8, size=15)
     omega[0] = OMEGA_FLOOR
-    return _Finish(corr, n, structure, saturated_loglik(corr, n)), corr, n, (lam, phi, omega)
+    return _Finish(corr, n, structure, loglik_ceiling(corr, n)), corr, n, (lam, phi, omega)
 
 
 def finish_loglik(finish, corr, n, x):
@@ -505,11 +513,11 @@ class TestFinishContract:
             em_only = _em_ascent(corr, n, _row_classes(structure), lam0, MAX_ITERATIONS)
             head = best_outcome(em_only)
             fit = cf.fit_mle(corr, n, structure, seed=seed)
-            if all(out[4] and out[5] <= EM_HANDOVER for out in em_only):
+            if all(out[4] and len(out[3]) - 1 <= EM_HANDOVER for out in em_only):
                 # converged before the hand-over: the EM-only fit, bit for bit
                 kinds["early"] += 1
                 assert fit.loglik_path == tuple(head[3])
-                assert fit.n_iterations == head[5] and fit.converged
+                assert fit.n_iterations == len(head[3]) - 1 and fit.converged
             elif head[4]:
                 kinds["later"] += 1
                 k = cf.count_free_params(structure)
@@ -545,7 +553,7 @@ class TestFinishContract:
                 continue
             # a finished fit has converged iff its largest gradient entry is
             # at most GRAD_TOL (up to the round-off of re-packing it)
-            finish = _Finish(corr, n, structure, saturated_loglik(corr, n))
+            finish = _Finish(corr, n, structure, loglik_ceiling(corr, n))
             x = finish.pack(theta.loadings, theta.factor_corr, theta.error_var)
             gmax = np.abs(finish.objective(x[None])[1]).max()
             assert gmax <= 2 * GRAD_TOL if fit.converged else gmax > GRAD_TOL / 2
@@ -571,7 +579,7 @@ class TestFinishContract:
         lam0 = _start_points(structure, 3, seed)
         head = best_outcome(_em_ascent(corr, n, _row_classes(structure), lam0, MAX_ITERATIONS))
         assert fit.loglik_path == tuple(head[3]) and fit.converged == head[4]
-        assert fit.n_iterations == head[5] > EM_HANDOVER
+        assert fit.n_iterations == len(head[3]) - 1 > EM_HANDOVER
 
     def test_options_past_the_hand_over(self, request):
         # a finish takes at most FINISH_STEPS steps and stops on GRAD_TOL,
@@ -603,7 +611,43 @@ class TestFinishContract:
         head = best_outcome(_em_ascent(corr, 200, _row_classes(structure), lam0,
                                        EM_HANDOVER + 50))
         assert fit.loglik_path == tuple(head[3])
-        assert fit.n_iterations == head[5] > EM_HANDOVER
+        assert fit.n_iterations == len(head[3]) - 1 > EM_HANDOVER
+
+
+class TestIterationCount:
+    """``n_iterations`` is ``len(loglik_path) - 1``: the path holds the start
+    point, one entry per EM update and one per accepted finish step. Here
+    the updates are counted by the sequential oracle and the steps by the
+    finish, on the seed-2000 acceptance-family candidates."""
+
+    @pytest.mark.parametrize(
+        "d, finish_steps, finished, converged",
+        [(3, FINISH_STEPS, False, True), (2, FINISH_STEPS, True, True), (4, 5, True, False)],
+        ids=["em-only", "finish-converged", "finish-cut-short"],
+    )
+    def test_updates_plus_steps(self, fit_policy, d, finish_steps, finished, converged):
+        corr, n, candidates = family_candidates()
+        seed, structure = next((s, st) for s, st in candidates if st.d == d)
+        fit_policy(FINISH_STEPS=finish_steps)
+        fit = cf.fit_mle(corr, n, structure, seed=seed)
+        classes = _row_classes(structure)
+        lam0 = _start_points(structure, 3, seed)
+        em = _em_ascent(corr, n, classes, lam0, EM_HANDOVER)
+        updates = [sequential_em(corr, n, classes, start, EM_HANDOVER, LOGLIK_TOL)[5]
+                   for start in lam0]
+        steps = [[] for _ in em]
+        handed = [r for r, out in enumerate(em) if not out[4]]
+        if handed:
+            ends = _Finish(corr, n, structure, loglik_ceiling(corr, n)).run(
+                [em[r][:3] for r in handed], finish_steps)
+            for r, end in zip(handed, ends):
+                steps[r] = end[3]
+        best = max(range(len(em)), key=lambda r: (em[r][3] + steps[r])[-1])
+        assert fit.loglik == (em[best][3] + steps[best])[-1]
+        assert fit.n_iterations == len(fit.loglik_path) - 1 == updates[best] + len(steps[best])
+        assert (fit.n_iterations > EM_HANDOVER) == finished
+        assert fit.n_iterations <= EM_HANDOVER + finish_steps
+        assert fit.converged == converged
 
 
 class TestSampleMoments:

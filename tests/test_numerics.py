@@ -21,7 +21,7 @@ from ctfactor import (
     philox,
 )
 from ctfactor.errors import DimensionMismatch, DomainError
-from ctfactor.estimate import _start_points, saturated_loglik
+from ctfactor.estimate import _start_points, loglik_ceiling
 from ctfactor.numerics import as_corr_matrix, as_sym_matrix
 
 
@@ -158,13 +158,13 @@ class TestEmptyMatrix:
         [
             lambda: cholesky(EMPTY),
             lambda: logdet_pd(EMPTY),
-            lambda: saturated_loglik(EMPTY, 10),
+            lambda: loglik_ceiling(EMPTY, 10),
             lambda: fit_mle(EMPTY, 10, Structure(p=1, d=1, support=frozenset({(0, 0)}))),
             lambda: FactorParams(loadings=np.ones((1, 1)), factor_corr=EMPTY, error_var=np.ones(1)),
             lambda: build_graph(EMPTY, 0.5),
             lambda: ct_run(EMPTY, 10, CtConfig(selection="none")),
         ],
-        ids=["cholesky", "logdet_pd", "saturated_loglik", "fit_mle", "FactorParams",
+        ids=["cholesky", "logdet_pd", "loglik_ceiling", "fit_mle", "FactorParams",
              "build_graph", "ct_run"],
     )
     def test_rejected(self, call):

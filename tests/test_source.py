@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ctfactor
+from ctfactor.estimate import loglik_ceiling
 from ctfactor.io import write_data_csv
 from ctfactor.numerics import as_corr_matrix, as_sym_matrix
 
@@ -61,6 +62,7 @@ POLICY_FREE = [
     (write_data_csv, ["path", "data"]),
     (ctfactor.gen_ucc_violation, ["spec"]),
     (ctfactor.fit_mle, ["s_sample", "n", "structure", "seed", "ceiling"]),
+    (loglik_ceiling, ["s_sample", "n"]),
     (ctfactor.ct_run, ["corr", "n", "config"]),
 ]
 
