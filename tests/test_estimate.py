@@ -10,7 +10,12 @@ from scipy.linalg import cho_solve
 import ctfactor as cf
 import ctfactor.estimate as estimate_module
 from ctfactor import CtConfig, Structure, ct_run
-from ctfactor.errors import ConstantColumn, DimensionMismatch, NonPDSampleWarning
+from ctfactor.errors import (
+    ConstantColumn,
+    DimensionMismatch,
+    NonPDSampleWarning,
+    NotPositiveDefinite,
+)
 from ctfactor.estimate import (
     EM_HANDOVER,
     FINISH_MAX_PARAMS,
@@ -30,7 +35,7 @@ from ctfactor.estimate import (
     sample_covariance,
 )
 from ctfactor.model import implied_covariance
-from ctfactor.numerics import cholesky, philox
+from ctfactor.numerics import cholesky, logdet_pd, philox
 from ctfactor.simgen import data_rng
 from oracles import gaussian_loglik
 
@@ -184,22 +189,28 @@ class TestFitMle:
         assert three.loglik >= one.loglik - 1e-9
 
 
-class TestLoglikCeiling:
-    """The ceiling exists for a positive definite sample matrix with n > p;
-    otherwise it is None, with one warning."""
+def ceiling_and_warnings(s, n):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ceiling = loglik_ceiling(s, n)
+    return ceiling, [(w.category, str(w.message)) for w in caught]
 
-    @staticmethod
-    def ceiling_and_warnings(s, n):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ceiling = loglik_ceiling(s, n)
-        return ceiling, [(w.category, str(w.message)) for w in caught]
+
+def not_pd_correlation():
+    corr = np.eye(3)
+    corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.9
+    corr[0, 2] = corr[2, 0] = -0.9
+    return corr
+
+
+class TestSaturatedLoglik:
+    """The saturated log-likelihood, as ``loglik_ceiling`` computes it."""
 
     def test_equals_loglik_at_sample_matrix(self):
         gen = philox(7)
         base = gen.standard_normal((5, 5))
         s = base @ base.T + np.eye(5)
-        ceiling, caught = self.ceiling_and_warnings(s, 40)
+        ceiling, caught = ceiling_and_warnings(s, 40)
         assert ceiling == pytest.approx(gaussian_loglik(s, s, 40), rel=1e-12)
         assert caught == []
 
@@ -212,15 +223,27 @@ class TestLoglikCeiling:
             )
             assert cf.fit_mle(corr, 800, structure, seed=0).loglik <= ceiling
 
+    def test_rejects_non_pd(self):
+        corr = not_pd_correlation()
+        with pytest.raises(NotPositiveDefinite):
+            logdet_pd(corr)
+        for n in (4, 100, 10**6):
+            assert ceiling_and_warnings(corr, n)[0] is None
+
+
+class TestLoglikCeiling:
+    """The ceiling exists for a positive definite sample matrix with n > p;
+    otherwise it is None, with one warning."""
+
     def test_positive_definite_with_n_above_p(self):
         _, corr = sample_setup(seed=12)
-        ceiling, caught = self.ceiling_and_warnings(corr, 800)
+        ceiling, caught = ceiling_and_warnings(corr, 800)
         assert ceiling == pytest.approx(gaussian_loglik(corr, corr, 800), rel=1e-12)
         assert caught == []
 
     def test_none_with_n_equal_to_p(self):
         _, corr = sample_setup(seed=12)
-        assert self.ceiling_and_warnings(corr, 15) == (None, [(
+        assert ceiling_and_warnings(corr, 15) == (None, [(
             NonPDSampleWarning,
             "n=15 <= p=15: the sample matrix is rank deficient and likelihoods are unreliable",
         )])
@@ -236,15 +259,12 @@ class TestLoglikCeiling:
             return real(mat)
 
         monkeypatch.setattr(estimate_module, "logdet_pd", counted)
-        ceiling, caught = self.ceiling_and_warnings(corr, n)
+        ceiling, caught = ceiling_and_warnings(corr, n)
         assert len(calls) == factored and (ceiling is not None) == factored
         assert len(caught) == (not factored)
 
     def test_none_and_one_warning_when_not_positive_definite(self):
-        corr = np.eye(3)
-        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.9
-        corr[0, 2] = corr[2, 0] = -0.9
-        assert self.ceiling_and_warnings(corr, 100) == (
+        assert ceiling_and_warnings(not_pd_correlation(), 100) == (
             None, [(NonPDSampleWarning, estimate_module.NON_PD_SAMPLE)])
 
 
