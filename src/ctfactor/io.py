@@ -5,8 +5,8 @@ read/write/read round trip with identical bits. A header row is detected
 by being entirely non-numeric. Data rows are read by orjson in blocks,
 then by numpy's C reader from the first block orjson refuses, then by a
 ``float()`` per cell where numpy refuses; all three round as ``float()``
-does. JSON input must be UTF-8; correlation documents are decoded by
-orjson, other documents by the stdlib.
+does. JSON input must be UTF-8. The stdlib decodes it, save the rows of
+a correlation document, which orjson decodes in blocks where it can.
 """
 
 import csv
@@ -29,9 +29,10 @@ __all__ = [
 ]
 
 
-#: Data rows per orjson block of :func:`_parse_rows`. A block's Python
-#: floats are dropped once they are an array, so one block of them is
-#: alive at a time; blocks of 16 to 128 rows read equally fast.
+#: Rows per orjson block, of a data CSV (:func:`_parse_rows`) and of a
+#: correlation JSON (:func:`_decode_rows`). A block's Python floats are
+#: dropped once they are an array, so one block of them is alive at a
+#: time; blocks of 16 to 128 rows read equally fast.
 _BLOCK = 32
 
 
@@ -175,20 +176,16 @@ def write_data_csv(path, data):
 def read_corr_json(path):
     """Read ``{"correlation": [[...]], "n": int}``; returns ``(corr, n)``.
 
-    The file is read once and its bytes decoded by orjson. A document
-    orjson refuses (``NaN`` and ``Infinity`` tokens, numbers beyond the
-    double range, lone surrogates, invalid UTF-8), or whose ``n`` it does
-    not give as an int (it turns integers outside 64 bits into floats), is
-    decoded again from the same bytes by :func:`load_json`'s stdlib
-    decoder. The matrices, ``n`` and errors are those of the stdlib alone.
+    The file is read once and decoded by :func:`_decode_rows`, or again
+    from the same bytes by :func:`load_json`'s stdlib decoder where that
+    refuses (``NaN``, ``Infinity``, numbers beyond the double range, lone
+    surrogates, invalid UTF-8, an ``n`` orjson does not give as an int,
+    another array-valued key). The matrices, ``n`` and errors are the stdlib's.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        doc = orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        doc = None
-    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+    doc = _decode_rows(raw)
+    if doc is None:
         doc = _loads(path, raw)
     if not isinstance(doc, dict) or "correlation" not in doc or "n" not in doc:
         raise ParseError(f"{path}: expected keys 'correlation' and 'n'")
@@ -204,6 +201,49 @@ def read_corr_json(path):
     if n < 1:
         raise ParseError(f"{path}: n must be >= 1, got {n}")
     return corr, n
+
+
+def _decode_rows(raw):
+    """The document in ``raw`` with its correlation decoded by orjson into
+    a p×p array, ``_BLOCK`` rows at a time; None where anything refuses.
+
+    The span from the first ``[`` to the last ``]`` must hold no ``"``, and
+    the bytes with it replaced by ``[]`` (the skeleton) must decode to an
+    object whose ``correlation`` is ``[]`` and ``n`` an int: no bracket is
+    outside the span, so it is that ``correlation``. Its inside is cut after
+    every ``_BLOCK``-th ``]``, where whitespace and a comma must follow, so
+    the pieces, each decoded as ``[`` + piece + ``]``, hold the span's rows.
+    """
+    start, end = raw.find(b"["), raw.rfind(b"]")
+    if not 0 <= start < end or raw.find(b'"', start, end) >= 0:
+        return None
+    try:
+        doc = orjson.loads(raw[:start] + b"[]" + raw[end + 1:])
+    except orjson.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict) or doc.get("correlation") != [] or type(doc.get("n")) is not int:
+        return None
+    corr, filled, pos = None, 0, start + 1
+    while pos:  # pos is 0 after the last block, which has no comma after it
+        cut = pos
+        for _ in range(_BLOCK):
+            cut = raw.find(b"]", cut, end) + 1 or end
+        comma = raw.find(b",", cut, end)
+        if comma >= 0 and raw[cut:comma].strip(b" \t\n\r"):
+            return None
+        piece = raw[pos:cut if comma >= 0 else end]
+        try:  # orjson.JSONDecodeError is a ValueError
+            block = np.asarray(orjson.loads(b"[" + piece + b"]"), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if corr is None and block.ndim == 2:
+            corr = np.empty((block.shape[1], block.shape[1]))
+        if block.ndim != 2 or block.shape[1] != len(corr) or filled + len(block) > len(corr):
+            return None
+        corr[filled:filled + len(block)] = block
+        filled += len(block)
+        pos = comma + 1
+    return dict(doc, correlation=corr) if filled == len(corr) else None
 
 
 def load_json(path):

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -417,14 +418,71 @@ class TestCorrJson:
             "line 1 column 1 (char 0)"
         )
 
-    def test_clean_document_skips_stdlib(self, tmp_path):
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda doc: json.dumps(doc),
+            dumps_json,
+            lambda doc: json.dumps({"n": doc["n"], "correlation": doc["correlation"]}),
+            lambda doc: json.dumps(dict(doc, note="seed 7")),
+        ],
+        ids=["compact", "save-json", "n-first", "extra-scalar-key"],
+    )
+    def test_clean_document_skips_stdlib(self, tmp_path, layout):
+        # 40 rows: two orjson blocks at the default block size
+        rows = np.round(philox(5).uniform(-1, 1, (40, 40)), 6).tolist()
+        rows[0][1] = rows[1][0] = -0.0
+        rows[1][1] = 1  # an integer token
         path = tmp_path / "corr.json"
-        path.write_text('{"correlation": [[1.0, -0.0], [-0.0, 1]], "n": 9223372036854775807}')
-        with mock.patch.object(io_module, "_loads", wraps=io_module._loads) as stdlib:
-            corr, n = read_corr_json(path)
-        assert not stdlib.called
-        assert n == 2**63 - 1
-        assert corr.tobytes() == np.array([[1.0, -0.0], [-0.0, 1.0]]).tobytes()
+        path.write_text(layout({"correlation": rows, "n": 2**63 - 1}))
+        outcome, stdlib, decoded = corr_routes(path)
+        assert not stdlib
+        assert len(decoded) == 3  # the skeleton, then two row blocks
+        assert all(len(text) < len(path.read_bytes()) for text in decoded)
+        assert outcome == ("ok", (40, 40), "<f8", np.array(rows, dtype=float).tobytes(), int,
+                           2**63 - 1)
+
+    @pytest.mark.parametrize(
+        "text, decodes",
+        [
+            ('{"correlation": [[1.0]], "names": ["a"], "n": 1}', 0),
+            ('{"names": ["a"], "correlation": [[1.0]], "n": 1}', 0),
+            ('{"correlation": [[1.0]], "note": "]", "n": 1}', 0),
+            ('{"x": [[1.0]], "n": 1}', 1),
+            ('{"correlation": 5, "x": [[1.0]], "n": 1}', 1),
+            ('{"correlation": [[1.0]], "n": 1, "correlation": 2}', 1),
+            ('{"correlation": [[1.0]], "n": 1.0}', 1),
+            ("[[1.0]]", 1),
+        ],
+        ids=["array-key-after", "array-key-before", "bracket-string", "no-correlation",
+             "other-array", "repeated-key", "float-n", "top-level-array"],
+    )
+    def test_other_documents_take_stdlib(self, tmp_path, text, decodes):
+        # a quote between the first "[" and the last "]" refuses the
+        # document before any decode; a skeleton of another shape after one
+        path = tmp_path / "corr.json"
+        path.write_text(text)
+        outcome, stdlib, decoded = corr_routes(path)
+        assert stdlib and len(decoded) == decodes
+        assert outcome == corr_outcome(read_corr_json_reference, path)
+
+    @pytest.mark.parametrize("layout", [json.dumps, dumps_json], ids=["compact", "save-json"])
+    def test_peak_below_file_and_three_matrices(self, tmp_path, layout):
+        # a whole-document decode peaked at 12.6 MB compact and 14.1 MB
+        # indented (bounds 8.6 and 10.1 MB); row blocks at 5.6 and 7.3 MB
+        p = 500
+        corr = np.round(philox(6).uniform(-1, 1, (p, p)), 6)
+        path = tmp_path / "corr.json"
+        path.write_text(layout({"correlation": corr.tolist(), "n": 1000}))
+        tracemalloc.start()
+        try:
+            back, _ = read_corr_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == corr.tobytes()
+        bound = os.path.getsize(path) + 24 * p**2
+        assert peak < bound, f"peak traced allocation {peak} bytes, bound {bound}"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize(
@@ -462,15 +520,21 @@ NUMBER_TOKENS = st.one_of(
 )
 #: Cells that are not numbers, and n values that are not integers.
 OTHER_TOKENS = st.sampled_from(
-    ["true", "false", "null", '"7"', '"1.5"', "[]", "[1]", "{}", '"\\ud800"', "2000.5", "2000.0"]
+    ["true", "false", "null", '"7"', '"1.5"', "[]", "[1]", "[0.5]", "{}", '"\\ud800"', "2000.5",
+     "2000.0"]
 )
 #: Strings for extra keys and values: non-ASCII, escapes, lone surrogates.
 STRING_TOKENS = st.one_of(
     st.text(max_size=5).map(lambda t: json.dumps(t, ensure_ascii=False)),
     st.text(max_size=5).map(json.dumps),
-    st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\u00e9"', '"caf\u00e9"']),
+    st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\u00e9"', '"caf\u00e9"', '"]["', '"a]"']),
 )
+#: Array values for extra keys: a document holding one reads through the stdlib.
+ARRAY_TOKENS = st.sampled_from(['["a"]', "[]", "[1.5, 2]", "[[0.5]]"])
 SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\t", "\r"])
+#: Between a row's ``]`` and its comma: JSON whitespace, or a form feed,
+#: which is not.
+ROW_GAPS = st.sampled_from(["", "", " ", "\r\n", "\n    ", "\t", "\x0c"])
 #: Valid sample sizes, drawn often enough that most documents are read.
 INT_N_TOKENS = st.integers(1, 5000).map(str)
 
@@ -484,18 +548,25 @@ def one_in(k):
 def corr_documents(draw):
     """Bytes of a correlation JSON, well formed or broken in one of the
     ways readers meet: odd numbers, a non-integer ``n``, missing, extra
-    and repeated keys, ragged rows, a BOM, invalid UTF-8, truncation."""
-    size = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    and repeated keys, array-valued extra keys, ragged and nested rows,
+    whitespace before a row's comma, a BOM, invalid UTF-8, truncation.
+    Up to 5 rows, so that blocks of 2 rows end on a partial block."""
+    size = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4, 5]))
+    shape = size + (draw(st.sampled_from([-1, 1])) if draw(one_in(10)) else 0)  # not square
     cell = st.one_of(NUMBER_TOKENS, OTHER_TOKENS) if draw(one_in(5)) else NUMBER_TOKENS
     rows = []
     for _ in range(size):
-        width = size + (draw(st.sampled_from([-1, 1])) if draw(one_in(10)) else 0)
-        rows.append("[" + ", ".join(draw(st.lists(cell, min_size=width, max_size=width))) + "]")
+        width = max(0, shape + (draw(st.sampled_from([-1, 1])) if draw(one_in(10)) else 0))
+        row = "[" + ", ".join(draw(st.lists(cell, min_size=width, max_size=width))) + "]"
+        rows.append("[" + row + "]" if draw(one_in(20)) else row)
     pad = draw(SPACES)
-    items = [('"correlation"', "[" + ("," + pad).join(rows) + "]")]
+    body = "".join(row + draw(ROW_GAPS) + "," + pad for row in rows[:-1]) + "".join(rows[-1:])
+    items = [('"correlation"', "[" + body + "]")]
     items.append(('"n"', draw(st.one_of(INT_N_TOKENS, INT_N_TOKENS, NUMBER_TOKENS, OTHER_TOKENS))))
     for _ in range(draw(st.integers(0, 2))):
-        items.append((draw(STRING_TOKENS), draw(st.one_of(STRING_TOKENS, NUMBER_TOKENS))))
+        value = st.one_of(STRING_TOKENS, NUMBER_TOKENS, ARRAY_TOKENS) if draw(one_in(5)) else \
+            st.one_of(STRING_TOKENS, NUMBER_TOKENS)
+        items.append((draw(STRING_TOKENS), draw(value)))
     change = draw(st.sampled_from(["none"] * 8 + ["drop", "repeat"]))
     if change == "drop":
         items.pop(draw(st.integers(0, 1)))
@@ -525,17 +596,44 @@ def corr_outcome(reader, path):
     return ("ok", corr.shape, corr.dtype.str, corr.tobytes(), type(n), n)
 
 
+def corr_routes(path):
+    """``read_corr_json(path)``'s outcome, whether the stdlib decoder was
+    called, and the text of every ``orjson.loads`` call."""
+    with mock.patch.object(io_module, "_loads", wraps=io_module._loads) as stdlib, \
+            mock.patch.object(io_module.orjson, "loads", wraps=io_module.orjson.loads) as fast:
+        outcome = corr_outcome(read_corr_json, path)
+    return outcome, stdlib.called, [call.args[0] for call in fast.call_args_list]
+
+
+def check_against_stdlib(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corr.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert corr_outcome(read_corr_json, path) == corr_outcome(read_corr_json_reference, path)
+
+
+CORR_DOCUMENT_SETTINGS = settings(
+    max_examples=1500,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
 class TestCorrJsonMatchesStdlib:
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @CORR_DOCUMENT_SETTINGS
     @given(corr_documents())
     def test_same_matrix_n_or_error(self, raw):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "corr.json")
-            with open(path, "wb") as fh:
-                fh.write(raw)
-            assert corr_outcome(read_corr_json, path) == corr_outcome(
-                read_corr_json_reference, path)
+        check_against_stdlib(raw)
+
+    @pytest.mark.parametrize("block", BLOCKS[:2])
+    @CORR_DOCUMENT_SETTINGS
+    @given(raw=corr_documents())
+    def test_same_at_small_blocks(self, monkeypatch, block, raw):
+        monkeypatch.setattr(io_module, "_BLOCK", block)
+        check_against_stdlib(raw)
 
 
 class TestDeterministicJson:

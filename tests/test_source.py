@@ -9,7 +9,7 @@ import pytest
 
 import ctfactor
 from ctfactor.estimate import loglik_ceiling
-from ctfactor.io import write_data_csv
+from ctfactor.io import read_corr_json, write_data_csv
 from ctfactor.numerics import as_corr_matrix, as_sym_matrix
 
 MODULES = sorted(
@@ -60,6 +60,7 @@ POLICY_FREE = [
     (ctfactor.rotational_uniqueness_check, ["loadings"]),
     (ctfactor.sample_covariance, ["data"]),
     (write_data_csv, ["path", "data"]),
+    (read_corr_json, ["path"]),
     (ctfactor.gen_ucc_violation, ["spec"]),
     (ctfactor.fit_mle, ["s_sample", "n", "structure", "seed", "ceiling"]),
     (loglik_ceiling, ["s_sample", "n"]),
